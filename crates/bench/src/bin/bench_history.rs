@@ -11,7 +11,7 @@
 //! place, a speedup that no longer matches the quotient it claims to be,
 //! a committed smoke artifact masquerading as a full run.
 //!
-//! Default mode prints a one-screen summary of all three files.
+//! Default mode prints a one-screen summary of all four files.
 //! `--check` additionally exits nonzero when any file is missing,
 //! malformed, schema-invalid, internally inconsistent, or carries a
 //! regression the file itself does not explain:
@@ -31,19 +31,15 @@
 //! * the fast-forward `barrier_storm` speedup must stay `>= 10`, other
 //!   fast-forward experiments `>= 0.75` (the feature may be neutral but
 //!   must not badly hurt),
-//! * the `chunked` section (written by `parallel_scaling`) must be
-//!   present with every rate equal to its quotient; lookahead chunking
-//!   must keep a real win over the per-cycle barrier on the dense
-//!   kernels at 4+ threads (`chunked_speedup >= 1.15`) and must never
-//!   cost any row more than 10% (including the 1-thread rows, where the
-//!   serial engine makes the knob inert and the row pins neutrality),
 //! * every resilience row must have completed with outcome `"ok"` and
 //!   slowdown under 10x,
 //! * every crash-resume point must be bit-identical — matching cycle
 //!   count, memory digest and stats tree — and the file must cover both
-//!   kill modes (in-process and SIGKILL) at 1 and 4 threads. These are
-//!   determinism gates, not performance gates, so they are *not* skipped
-//!   for smoke artifacts: bit-identity holds at any workload size.
+//!   kill modes (in-process and SIGKILL), with at least one SIGKILL that
+//!   hit a child still running and resumed from an image taken mid-run.
+//!   These are determinism gates, not performance gates, so they are
+//!   *not* skipped for smoke artifacts: bit-identity holds at any
+//!   workload size.
 //!
 //! Regression gates are skipped (with a note) for smoke artifacts —
 //! `"smoke": true`, or a resilience `n` below the full 128 — since smoke
@@ -86,21 +82,8 @@ const LOWERED_NEUTRAL_FLOOR: f64 = 0.90;
 
 /// The performance arc's headline: on the dense-compute kernel the
 /// overhauls stack to at least this much over the pre-overhaul tick
-/// loop (threads and fast-forward are gated separately in
-/// `BENCH_simspeed.json`).
+/// loop (fast-forward is gated separately in `BENCH_simspeed.json`).
 const CUMULATIVE_FLOOR: f64 = 1.9;
-
-/// Lookahead chunking targets the barrier rounds the per-cycle parallel
-/// engine spends while the network idles, so its win is gated where the
-/// network idles: the dense-compute kernels, at thread counts that pay
-/// for real barrier rounds. The comparison runs both legs at the same
-/// thread count, so it is meaningful on any host.
-const CHUNKED_FLOOR: f64 = 1.15;
-
-/// Elsewhere — memory-bound rows (in-flight traffic pins chunks at one
-/// cycle) and 1-thread rows (the serial engine ignores the knob) —
-/// chunking may be neutral but must never cost more than 10%.
-const CHUNKED_NEUTRAL_FLOOR: f64 = 0.90;
 
 /// Fast-forward must stay a big win on the quiescent-heavy workload...
 const FF_STORM_FLOOR: f64 = 10.0;
@@ -432,138 +415,6 @@ fn check_simspeed(rep: &mut Report) {
     if smoke {
         rep.gates_skipped.push(file);
     }
-    check_chunked(rep, file, &doc);
-}
-
-/// The `chunked` section of `BENCH_simspeed.json`: per-thread-count
-/// timings of the parallel engine's automatic lookahead chunking against
-/// its per-cycle barrier hatch, written by `parallel_scaling`. It
-/// carries its own `smoke` flag — the section is spliced in by a
-/// different binary than the surrounding document, so their run sizes
-/// are independent.
-fn check_chunked(rep: &mut Report, file: &'static str, doc: &Value) {
-    let Some(section) = doc.get("chunked") else {
-        rep.fail(
-            file,
-            "missing chunked section (run parallel_scaling to regenerate)".into(),
-        );
-        return;
-    };
-    let Some(smoke) = section.get("smoke").and_then(Value::as_bool) else {
-        rep.fail(file, "chunked: missing boolean smoke field".into());
-        return;
-    };
-    let Some(rows) = section.get("rows").and_then(Value::as_arr) else {
-        rep.fail(file, "chunked: missing rows array".into());
-        return;
-    };
-    if rows.is_empty() {
-        rep.fail(file, "chunked: no rows".into());
-    }
-    let mut gated_dense = false;
-    for (i, r) in rows.iter().enumerate() {
-        let workload = r.get("workload").and_then(Value::as_str);
-        let threads = r.get("threads").and_then(Value::as_u64);
-        let workers = r.get("workers").and_then(Value::as_u64);
-        let cycles = r.get("simulated_cycles").and_then(Value::as_u64);
-        let (pc_w, ch_w) = (
-            num(r, "wall_seconds_percycle"),
-            num(r, "wall_seconds_chunked"),
-        );
-        let (pc_r, ch_r) = (
-            num(r, "cycles_per_sec_percycle"),
-            num(r, "cycles_per_sec_chunked"),
-        );
-        let per_worker = num(r, "cycles_per_sec_per_worker");
-        let speedup = num(r, "chunked_speedup");
-        let (
-            Some(workload),
-            Some(threads),
-            Some(workers),
-            Some(cycles),
-            Some(pc_w),
-            Some(ch_w),
-            Some(pc_r),
-            Some(ch_r),
-            Some(per_worker),
-            Some(speedup),
-        ) = (
-            workload, threads, workers, cycles, pc_w, ch_w, pc_r, ch_r, per_worker, speedup,
-        )
-        else {
-            rep.fail(file, format!("chunked.rows[{i}]: missing/mistyped field"));
-            continue;
-        };
-        if pc_w <= 0.0 || ch_w <= 0.0 || cycles == 0 || workers == 0 {
-            rep.fail(
-                file,
-                format!("chunked {workload}@{threads}: non-positive measurement"),
-            );
-            continue;
-        }
-        for (label, rate, wall) in [("percycle", pc_r, pc_w), ("chunked", ch_r, ch_w)] {
-            if !close(rate, cycles as f64 / wall) {
-                rep.fail(
-                    file,
-                    format!(
-                        "chunked {workload}@{threads}: cycles_per_sec_{label} {rate} != \
-                         simulated_cycles/wall_seconds_{label} {:.1}",
-                        cycles as f64 / wall
-                    ),
-                );
-            }
-        }
-        if !close(per_worker, ch_r / workers as f64) {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: cycles_per_sec_per_worker {per_worker} != \
-                     cycles_per_sec_chunked/workers {:.1}",
-                    ch_r / workers as f64
-                ),
-            );
-        }
-        if !close(speedup, pc_w / ch_w) {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: chunked_speedup {speedup} != \
-                     wall-seconds quotient {:.3}",
-                    pc_w / ch_w
-                ),
-            );
-        }
-        if smoke {
-            continue;
-        }
-        let dense = DENSE_COMPUTE_KERNELS.contains(&workload);
-        let floor = if dense && threads >= 4 {
-            gated_dense = true;
-            CHUNKED_FLOOR
-        } else {
-            CHUNKED_NEUTRAL_FLOOR
-        };
-        if speedup < floor {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: chunked_speedup {speedup:.3} below \
-                     the {floor} floor"
-                ),
-            );
-        }
-    }
-    if smoke {
-        rep.gates_skipped.push("BENCH_simspeed.json (chunked)");
-    } else if !gated_dense && !rows.is_empty() {
-        rep.fail(
-            file,
-            format!(
-                "chunked: no dense-kernel row at >= 4 threads — nothing enforces \
-                 the {CHUNKED_FLOOR} chunking floor"
-            ),
-        );
-    }
 }
 
 fn check_resilience(rep: &mut Report) {
@@ -685,28 +536,35 @@ fn check_crash_resume(rep: &mut Report) {
     if points.is_empty() {
         rep.fail(file, "no points".into());
     }
-    // The matrix the file must cover: both kill modes at both engine
-    // shapes (serial 1-thread, chunked 4-thread).
-    let mut covered: Vec<(String, u64)> = Vec::new();
+    // Coverage: both kill modes, and at least one SIGKILL that hit a
+    // child still running, restored from an image taken mid-run.
+    let mut covered: Vec<String> = Vec::new();
+    let mut live_sigkill = false;
     for (i, p) in points.iter().enumerate() {
         let mode = p.get("mode").and_then(Value::as_str);
-        let threads = p.get("threads").and_then(Value::as_u64);
+        let kill = p.get("kill_cycle").and_then(Value::as_u64);
+        let alive = p.get("child_alive_at_kill").and_then(Value::as_bool);
         let baseline = p.get("baseline_cycles").and_then(Value::as_u64);
         let resumed = p.get("resumed_cycles").and_then(Value::as_u64);
         let digest = p.get("digest_match").and_then(Value::as_bool);
         let stats = p.get("stats_match").and_then(Value::as_bool);
-        let (Some(mode), Some(threads), Some(baseline), Some(resumed), Some(digest), Some(stats)) =
-            (mode, threads, baseline, resumed, digest, stats)
+        let (
+            Some(mode),
+            Some(kill),
+            Some(alive),
+            Some(baseline),
+            Some(resumed),
+            Some(digest),
+            Some(stats),
+        ) = (mode, kill, alive, baseline, resumed, digest, stats)
         else {
             rep.fail(file, format!("points[{i}]: missing/mistyped field"));
             continue;
         };
-        covered.push((mode.to_string(), threads));
+        covered.push(mode.to_string());
+        live_sigkill |= mode == "sigkill" && alive && kill > 0 && kill < baseline;
         if baseline == 0 {
-            rep.fail(
-                file,
-                format!("point {mode}@{threads}: zero baseline cycles"),
-            );
+            rep.fail(file, format!("point {mode}: zero baseline cycles"));
         }
         // Bit-identity is workload-size-independent, so these gates
         // apply to smoke artifacts too.
@@ -714,7 +572,7 @@ fn check_crash_resume(rep: &mut Report) {
             rep.fail(
                 file,
                 format!(
-                    "point {mode}@{threads}: resumed run took {resumed} cycles, \
+                    "point {mode}: resumed run took {resumed} cycles, \
                      uninterrupted took {baseline}"
                 ),
             );
@@ -722,25 +580,28 @@ fn check_crash_resume(rep: &mut Report) {
         if !digest {
             rep.fail(
                 file,
-                format!("point {mode}@{threads}: memory digest mismatch after resume"),
+                format!("point {mode}: memory digest mismatch after resume"),
             );
         }
         if !stats {
             rep.fail(
                 file,
-                format!("point {mode}@{threads}: stats tree mismatch after resume"),
+                format!("point {mode}: stats tree mismatch after resume"),
             );
         }
     }
     for mode in ["in-process", "sigkill"] {
-        for threads in [1u64, 4] {
-            if !covered.iter().any(|(m, t)| m == mode && *t == threads) {
-                rep.fail(
-                    file,
-                    format!("missing coverage: no {mode} point at {threads} thread(s)"),
-                );
-            }
+        if !covered.iter().any(|m| m == mode) {
+            rep.fail(file, format!("missing coverage: no {mode} point"));
         }
+    }
+    if !live_sigkill {
+        rep.fail(
+            file,
+            "no sigkill point hit a live child mid-run (child_alive_at_kill with \
+             0 < kill_cycle < baseline_cycles)"
+                .into(),
+        );
     }
 }
 
@@ -801,26 +662,6 @@ fn summarize() {
                     })
                     .unwrap_or_default();
                 println!("{file:<24} fast-forward: {}", speedups.join(", "));
-                let chunked: Vec<String> = doc
-                    .get("chunked")
-                    .and_then(|c| c.get("rows"))
-                    .and_then(Value::as_arr)
-                    .map(|rs| {
-                        rs.iter()
-                            .filter_map(|r| {
-                                Some(format!(
-                                    "{}@{} {:.2}x",
-                                    r.get("workload")?.as_str()?,
-                                    r.get("threads")?.as_u64()?,
-                                    num(r, "chunked_speedup")?
-                                ))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if !chunked.is_empty() {
-                    println!("{:<24} chunked:      {}", "", chunked.join(", "));
-                }
             }
             "BENCH_crash_resume.json" => {
                 let pts = doc.get("points").and_then(Value::as_arr);

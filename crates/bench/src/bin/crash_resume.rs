@@ -2,7 +2,7 @@
 //! runs are bit-identical to uninterrupted ones.
 //!
 //! Two kill mechanisms on a Table 1 workload (rank-64 GM/cache, four
-//! clusters) at 1 and 4 worker threads:
+//! clusters):
 //!
 //! * **in-process** — the run is cut off at an adversarial cycle via the
 //!   cycle limit, the machine is dropped mid-run, and a fresh machine
@@ -11,11 +11,15 @@
 //!   same workload with auto-checkpointing, waits for a snapshot file to
 //!   appear, and SIGKILLs the child (a real crash: no destructors, no
 //!   flushing), then resumes from whatever image the dead process left.
+//!   The row records whether the child was still running just before
+//!   the kill and the cycle of the image the resume restored, so the
+//!   artifact shows the kill landed mid-run.
 //!
 //! Both must reproduce the uninterrupted run's cycle count, memory
 //! digest and full stats tree. Writes `BENCH_crash_resume.json`;
-//! `bench_history --check` gates on every point matching. `--smoke`
-//! shrinks the workload for CI.
+//! `bench_history --check` gates on every point matching and on a
+//! SIGKILL that hit a live child mid-run. `--smoke` shrinks the workload
+//! for CI.
 
 use std::path::{Path, PathBuf};
 
@@ -37,8 +41,8 @@ fn build(m: &mut Machine, n: u32) -> Vec<(CeId, Program)> {
     .build(m, CLUSTERS)
 }
 
-fn cfg_for(threads: usize) -> MachineConfig {
-    MachineConfig::cedar_with_clusters(CLUSTERS).with_threads(threads)
+fn cfg() -> MachineConfig {
+    MachineConfig::cedar_with_clusters(CLUSTERS)
 }
 
 struct Fingerprint {
@@ -47,8 +51,8 @@ struct Fingerprint {
     stats: MachineStats,
 }
 
-fn uninterrupted(threads: usize, n: u32) -> Fingerprint {
-    let mut m = Machine::new(cfg_for(threads)).expect("machine");
+fn uninterrupted(n: u32) -> Fingerprint {
+    let mut m = Machine::new(cfg()).expect("machine");
     let progs = build(&mut m, n);
     let r = m.run(progs, LIMIT).expect("baseline run");
     Fingerprint {
@@ -58,8 +62,8 @@ fn uninterrupted(threads: usize, n: u32) -> Fingerprint {
     }
 }
 
-fn resume(threads: usize, n: u32, snap: &Path) -> Fingerprint {
-    let mut m = Machine::new(cfg_for(threads)).expect("machine");
+fn resume(n: u32, snap: &Path) -> Fingerprint {
+    let mut m = Machine::new(cfg()).expect("machine");
     let progs = build(&mut m, n);
     let r = m
         .resume_from_file(progs, snap, LIMIT)
@@ -71,10 +75,27 @@ fn resume(threads: usize, n: u32, snap: &Path) -> Fingerprint {
     }
 }
 
+/// The cycle a crashed run's snapshot was taken at: a resume under a
+/// zero cycle budget restores the image and stops before its first tick,
+/// leaving `Machine::now()` at the restored cycle.
+fn snapshot_cycle(n: u32, snap: &Path) -> u64 {
+    let mut m = Machine::new(cfg()).expect("machine");
+    let progs = build(&mut m, n);
+    match m.resume_from_file(progs, snap, 0) {
+        Err(MachineError::CycleLimitExceeded { .. }) => m.now().0,
+        other => panic!("zero-budget resume should stop at once, got {other:?}"),
+    }
+}
+
 struct Point {
     mode: &'static str,
-    threads: usize,
+    /// In-process: the cycle limit the run was cut off at. SIGKILL: the
+    /// cycle of the image the resume restored (the child was at or past
+    /// it when killed).
     kill_cycle: u64,
+    /// SIGKILL only: the child was still running just before `kill()`.
+    /// Always true in-process, where the kill is the cycle limit.
+    child_alive_at_kill: bool,
     baseline_cycles: u64,
     resumed_cycles: u64,
     digest_match: bool,
@@ -89,15 +110,15 @@ impl Point {
 
 fn point(
     mode: &'static str,
-    threads: usize,
     kill_cycle: u64,
+    child_alive_at_kill: bool,
     base: &Fingerprint,
     got: &Fingerprint,
 ) -> Point {
     Point {
         mode,
-        threads,
         kill_cycle,
+        child_alive_at_kill,
         baseline_cycles: base.cycles,
         resumed_cycles: got.cycles,
         digest_match: base.memory == got.memory,
@@ -107,11 +128,11 @@ fn point(
 
 /// In-process crash: cut the run off at `kill_at` via the cycle limit,
 /// drop the machine, resume from the checkpoint file.
-fn in_process(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
+fn in_process(n: u32, base: &Fingerprint, snap: &Path) -> Point {
     let kill_at = 2 * base.cycles / 3;
     let every = (base.cycles / 9).max(1);
     let _ = std::fs::remove_file(snap);
-    let mut m = Machine::new(cfg_for(threads).with_checkpoint(every, snap)).expect("machine");
+    let mut m = Machine::new(cfg().with_checkpoint(every, snap)).expect("machine");
     let progs = build(&mut m, n);
     match m.run(progs, kill_at) {
         Err(MachineError::CycleLimitExceeded { .. }) => {}
@@ -119,15 +140,15 @@ fn in_process(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point 
     }
     drop(m);
     assert!(snap.exists(), "no checkpoint after the in-process kill");
-    let got = resume(threads, n, snap);
-    let p = point("in-process", threads, kill_at, base, &got);
+    let got = resume(n, snap);
+    let p = point("in-process", kill_at, true, base, &got);
     let _ = std::fs::remove_file(snap);
     p
 }
 
 /// Real crash: re-exec this binary as a child running the workload with
 /// auto-checkpointing, SIGKILL it once a snapshot exists, resume here.
-fn sigkill(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
+fn sigkill(n: u32, base: &Fingerprint, snap: &Path) -> Point {
     let every = (base.cycles / 9).max(1);
     let _ = std::fs::remove_file(snap);
     let exe = std::env::current_exe().expect("current_exe");
@@ -135,7 +156,6 @@ fn sigkill(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
         .args([
             "--child",
             snap.to_str().expect("utf-8 snap path"),
-            &threads.to_string(),
             &n.to_string(),
             &every.to_string(),
         ])
@@ -163,10 +183,12 @@ fn sigkill(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
+    let alive = child.try_wait().expect("try_wait").is_none();
     let _ = child.kill(); // SIGKILL on unix: the process gets no say
     let _ = child.wait();
-    let got = resume(threads, n, snap);
-    let p = point("sigkill", threads, 0, base, &got);
+    let kill_cycle = snapshot_cycle(n, snap);
+    let got = resume(n, snap);
+    let p = point("sigkill", kill_cycle, alive, base, &got);
     let _ = std::fs::remove_file(snap);
     p
 }
@@ -175,10 +197,9 @@ fn sigkill(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
 /// auto-checkpointing until killed.
 fn child_main(args: &[String]) -> ! {
     let snap = PathBuf::from(&args[0]);
-    let threads: usize = args[1].parse().expect("threads");
-    let n: u32 = args[2].parse().expect("n");
-    let every: u64 = args[3].parse().expect("every");
-    let mut m = Machine::new(cfg_for(threads).with_checkpoint(every, &snap)).expect("machine");
+    let n: u32 = args[1].parse().expect("n");
+    let every: u64 = args[2].parse().expect("every");
+    let mut m = Machine::new(cfg().with_checkpoint(every, &snap)).expect("machine");
     let progs = build(&mut m, n);
     m.run(progs, LIMIT).expect("child run");
     std::process::exit(0);
@@ -194,8 +215,8 @@ fn json(smoke: bool, points: &[Point]) -> String {
                 concat!(
                     "    {{\n",
                     "      \"mode\": \"{}\",\n",
-                    "      \"threads\": {},\n",
                     "      \"kill_cycle\": {},\n",
+                    "      \"child_alive_at_kill\": {},\n",
                     "      \"baseline_cycles\": {},\n",
                     "      \"resumed_cycles\": {},\n",
                     "      \"digest_match\": {},\n",
@@ -203,8 +224,8 @@ fn json(smoke: bool, points: &[Point]) -> String {
                     "    }}"
                 ),
                 p.mode,
-                p.threads,
                 p.kill_cycle,
+                p.child_alive_at_kill,
                 p.baseline_cycles,
                 p.resumed_cycles,
                 p.digest_match,
@@ -224,28 +245,22 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke") || cedar_bench::quick();
     let n = if smoke { 64 } else { 128 };
-    let mut points = Vec::new();
-    for threads in [1usize, 4] {
-        eprintln!("crash_resume: baseline (threads = {threads}, n = {n})...");
-        let base = uninterrupted(threads, n);
-        let snap = std::env::temp_dir().join(format!(
-            "cedar-crash-resume-{}-t{threads}.snap",
-            std::process::id()
-        ));
-        eprintln!(
-            "crash_resume: in-process kill at 2/3 of {} cycles...",
-            base.cycles
-        );
-        points.push(in_process(threads, n, &base, &snap));
-        eprintln!("crash_resume: SIGKILL of a checkpointing child...");
-        points.push(sigkill(threads, n, &base, &snap));
-    }
+    eprintln!("crash_resume: baseline (n = {n})...");
+    let base = uninterrupted(n);
+    let snap = std::env::temp_dir().join(format!("cedar-crash-resume-{}.snap", std::process::id()));
+    eprintln!(
+        "crash_resume: in-process kill at 2/3 of {} cycles...",
+        base.cycles
+    );
+    let in_proc = in_process(n, &base, &snap);
+    eprintln!("crash_resume: SIGKILL of a checkpointing child...");
+    let points = [in_proc, sigkill(n, &base, &snap)];
     for p in &points {
         eprintln!(
-            "crash_resume: {} t={} kill@{}: cycles {} -> {}, digest {}, stats {}",
+            "crash_resume: {} kill@{} (child alive: {}): cycles {} -> {}, digest {}, stats {}",
             p.mode,
-            p.threads,
             p.kill_cycle,
+            p.child_alive_at_kill,
             p.baseline_cycles,
             p.resumed_cycles,
             if p.digest_match { "match" } else { "MISMATCH" },

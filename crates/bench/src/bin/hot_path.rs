@@ -26,11 +26,9 @@
 //! bit-identity, and records `cycles_per_sec_lowered_off` plus
 //! `lowered_speedup` — what the lowering pipeline alone contributes.
 //!
-//! `--smoke` shrinks the workloads for CI and additionally runs every
-//! kernel on both the serial engine and the 4-thread parallel engine,
-//! asserting identical cycles and memory digests (zero simulated-cycle
-//! drift vs the serial reference). Wall-clock numbers are reported, never
-//! asserted, so CI stays flake-free.
+//! `--smoke` shrinks the workloads for CI. Wall-clock numbers are
+//! reported, never asserted, so CI stays flake-free; the cross-path
+//! cycle/digest identities are asserted in both modes.
 
 use std::time::Instant;
 
@@ -209,12 +207,11 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     ]
 }
 
-/// Run one workload cycle-by-cycle on `threads` simulation threads with
-/// the flow-level network fast path and program lowering on or off,
-/// returning the fingerprint the drift assertions compare.
-fn run_workload(w: &Workload, threads: usize, flow: bool, lowered: bool) -> (u64, u64, u64) {
+/// Run one workload cycle-by-cycle with the flow-level network fast path
+/// and program lowering on or off, returning the fingerprint the drift
+/// assertions compare.
+fn run_workload(w: &Workload, flow: bool, lowered: bool) -> (u64, u64, u64) {
     let cfg = MachineConfig::cedar_with_clusters(4)
-        .with_threads(threads)
         .with_fast_forward(false)
         .with_flow_path(flow)
         .with_lowered(lowered);
@@ -225,13 +222,13 @@ fn run_workload(w: &Workload, threads: usize, flow: bool, lowered: bool) -> (u64
 }
 
 fn measure(w: &Workload, smoke: bool) -> Measurement {
-    eprintln!("  {}: serial cycle-by-cycle x{}...", w.name, w.reps);
+    eprintln!("  {}: cycle-by-cycle x{}...", w.name, w.reps);
     let mut cycles = 0;
     let mut reference = (0, 0, 0);
     let mut best = f64::INFINITY;
     for _ in 0..w.reps {
         let t = Instant::now();
-        reference = run_workload(w, 1, true, true);
+        reference = run_workload(w, true, true);
         cycles += reference.0;
         best = best.min(t.elapsed().as_secs_f64());
     }
@@ -244,7 +241,7 @@ fn measure(w: &Workload, smoke: bool) -> Measurement {
     let mut best_off = f64::INFINITY;
     for _ in 0..off_reps {
         let t = Instant::now();
-        let oracle = run_workload(w, 1, false, true);
+        let oracle = run_workload(w, false, true);
         best_off = best_off.min(t.elapsed().as_secs_f64());
         assert_eq!(
             reference, oracle,
@@ -258,7 +255,7 @@ fn measure(w: &Workload, smoke: bool) -> Measurement {
     let mut best_interp = f64::INFINITY;
     for _ in 0..off_reps {
         let t = Instant::now();
-        let interp = run_workload(w, 1, true, false);
+        let interp = run_workload(w, true, false);
         best_interp = best_interp.min(t.elapsed().as_secs_f64());
         assert_eq!(
             reference, interp,
@@ -369,23 +366,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let m = measure(&w, smoke);
-        if smoke {
-            // Zero simulated-cycle drift vs the serial reference: the
-            // parallel engine must produce the identical run.
-            eprintln!("  {}: 4-thread drift check...", w.name);
-            let serial = run_workload(&w, 1, true, true);
-            let parallel = run_workload(&w, 4, true, true);
-            assert_eq!(
-                serial, parallel,
-                "{}: parallel engine drifted from the serial reference",
-                w.name
-            );
-            assert_eq!(
-                m.simulated_cycles, serial.0,
-                "{}: repeated serial runs disagree",
-                w.name
-            );
-        }
         if let Some(b) = baseline.iter().find(|b| b.name == m.name) {
             assert_eq!(
                 b.simulated_cycles, m.simulated_cycles,

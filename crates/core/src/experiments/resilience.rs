@@ -171,7 +171,7 @@ fn run_point(
     seed: u64,
     ck: Option<&ckpt::Checkpoint>,
 ) -> cedar_machine::Result<(ResilienceRow, Option<String>)> {
-    let mut cfg = MachineConfig::cedar_with_clusters(CLUSTERS).with_env_threads();
+    let mut cfg = MachineConfig::cedar_with_clusters(CLUSTERS);
     if let Some(plan) = s.plan(seed) {
         cfg = cfg.with_faults(plan);
     }

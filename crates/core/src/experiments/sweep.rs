@@ -1,6 +1,6 @@
 //! Experiment-level parallel sweep runner.
 //!
-//! The experiment drivers (Table 2, PPT4, the Perfect suite) are sweeps
+//! The experiment drivers (Tables 1 and 2, PPT4, the Perfect suite) are sweeps
 //! of independent simulations: every point builds its own [`Machine`] and
 //! runs it to completion, so points can execute on any number of host
 //! threads without sharing state. The simulator itself is deterministic,
@@ -9,9 +9,9 @@
 //! [`parallel_map`] guarantees that, so a sweep's rendered output is
 //! byte-identical whatever `CEDAR_SWEEP_THREADS` says.
 //!
-//! This layer is orthogonal to the intra-machine parallel engine
-//! (`CEDAR_NUM_THREADS`): that knob shards one machine's clusters across
-//! threads, this one runs whole independent machines side by side.
+//! This is the simulator's only host-parallel layer: each machine runs
+//! its serial engine on one thread, and whole independent machines run
+//! side by side.
 //!
 //! [`Machine`]: cedar_machine::machine::Machine
 

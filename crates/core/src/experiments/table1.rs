@@ -55,7 +55,10 @@ pub fn run(n: u32) -> cedar_machine::Result<Table1> {
 /// (version × cluster count) simulations auto-checkpoints to its own
 /// snapshot file, and `--resume` continues interrupted points. Resumed
 /// points are bit-identical to uninterrupted ones; the `resumed` field
-/// records which points were recovered.
+/// records which points were recovered. The 12 points are independent
+/// simulations and run through the [`sweep`](crate::experiments::sweep)
+/// runner; results are assembled in table order whatever the host thread
+/// count.
 ///
 /// # Errors
 ///
@@ -74,19 +77,29 @@ pub fn run_with(n: u32, ck: Option<&ckpt::Checkpoint>) -> cedar_machine::Result<
         ),
         ("GM/cache", Rank64Version::GmCache, paper::TABLE1_CACHE),
     ];
+    let tasks: Vec<(&'static str, Rank64Version, usize)> = versions
+        .iter()
+        .flat_map(|&(name, version, _)| (1..=4usize).map(move |c| (name, version, c)))
+        .collect();
+    let results = crate::experiments::sweep::parallel_map(&tasks, |&(name, version, clusters)| {
+        let key = format!("t1-{name}-{clusters}cl");
+        let cfg = MachineConfig::cedar_with_clusters(clusters);
+        ckpt::run_point(ck, &key, cfg, 8_000_000_000, |m| {
+            Rank64 { n, k: 64, version }.build(m, clusters)
+        })
+        .map(|r| (ckpt::provenance_of(&key, &r), r))
+    });
+
     let mut rows = Vec::new();
     let mut resumed = Vec::new();
-    for (name, version, paper_row) in versions {
+    let mut results = results.into_iter();
+    for (name, _, paper_row) in versions {
         let mut measured = [0.0; 4];
         let mut stats = Vec::with_capacity(4);
-        for clusters in 1..=4usize {
-            let key = format!("t1-{name}-{clusters}cl");
-            let cfg = MachineConfig::cedar_with_clusters(clusters).with_env_threads();
-            let r = ckpt::run_point(ck, &key, cfg, 8_000_000_000, |m| {
-                Rank64 { n, k: 64, version }.build(m, clusters)
-            })?;
-            resumed.extend(ckpt::provenance_of(&key, &r));
-            measured[clusters - 1] = r.mflops;
+        for m in &mut measured {
+            let (provenance, r) = results.next().expect("one result per task")?;
+            resumed.extend(provenance);
+            *m = r.mflops;
             stats.push(r.stats);
         }
         rows.push(Table1Row {

@@ -128,7 +128,7 @@ fn run_point(
         _ => ces / 8,
     };
     let key = format!("t2-{}-{ces}ce", kernel.name());
-    let cfg = MachineConfig::cedar_with_clusters(clusters).with_env_threads();
+    let cfg = MachineConfig::cedar_with_clusters(clusters);
     let r = ckpt::run_point(ck, &key, cfg, 2_000_000_000, |m| match kernel {
         // VL: pure prefetched loads, 32-word compiler blocks.
         Kernel::Vl => VectorLoad {

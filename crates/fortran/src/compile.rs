@@ -219,7 +219,7 @@ impl Backend {
         clusters: usize,
         limit: u64,
     ) -> cedar_machine::Result<ExecReport> {
-        let cfg = MachineConfig::cedar_with_clusters(clusters.clamp(1, 4)).with_env_threads();
+        let cfg = MachineConfig::cedar_with_clusters(clusters.clamp(1, 4));
         let r = self.execute_on(prog, cfg, clusters, limit)?;
         Ok(ExecReport::from(&r))
     }

@@ -105,10 +105,9 @@ impl BandedMatvec {
     ///
     /// Propagates simulator errors.
     pub fn report_on_cedar(&self, clusters: usize) -> cedar_machine::Result<RunReport> {
-        let mut m = Machine::new(
-            cedar_machine::MachineConfig::cedar_with_clusters(clusters.clamp(1, 4))
-                .with_env_threads(),
-        )?;
+        let mut m = Machine::new(cedar_machine::MachineConfig::cedar_with_clusters(
+            clusters.clamp(1, 4),
+        ))?;
         let progs = self.build(&mut m, clusters.clamp(1, 4));
         m.run(progs, 4_000_000_000)
     }
@@ -130,7 +129,6 @@ impl BandedMatvec {
         resume: bool,
     ) -> cedar_machine::Result<RunReport> {
         let cfg = cedar_machine::MachineConfig::cedar_with_clusters(clusters.clamp(1, 4))
-            .with_env_threads()
             .with_checkpoint(every, snap);
         let mut m = Machine::new(cfg)?;
         let progs = self.build(&mut m, clusters.clamp(1, 4));

@@ -184,9 +184,9 @@ impl StagedCg {
     /// Propagates machine errors (notably the cycle limit on deadlock).
     pub fn report_on_cedar(&self, ces: usize) -> cedar_machine::Result<RunReport> {
         let clusters = ces.div_ceil(8).max(1);
-        let mut m = Machine::new(
-            cedar_machine::MachineConfig::cedar_with_clusters(clusters.min(4)).with_env_threads(),
-        )?;
+        let mut m = Machine::new(cedar_machine::MachineConfig::cedar_with_clusters(
+            clusters.min(4),
+        ))?;
         let progs = self.build(&mut m, ces);
         m.run(progs, 2_000_000_000)
     }
@@ -209,7 +209,6 @@ impl StagedCg {
     ) -> cedar_machine::Result<RunReport> {
         let clusters = ces.div_ceil(8).max(1);
         let cfg = cedar_machine::MachineConfig::cedar_with_clusters(clusters.min(4))
-            .with_env_threads()
             .with_checkpoint(every, snap);
         let mut m = Machine::new(cfg)?;
         let progs = self.build(&mut m, ces);

@@ -158,7 +158,7 @@ fn build(probe: Probe, ces: usize, cpc: usize) -> Vec<(CeId, Program)> {
 /// Propagates simulator errors.
 pub fn measure(probe: Probe, ces: usize) -> cedar_machine::Result<BwPoint> {
     let clusters = ces.div_ceil(8).clamp(1, 4);
-    let mut m = Machine::new(MachineConfig::cedar_with_clusters(clusters).with_env_threads())?;
+    let mut m = Machine::new(MachineConfig::cedar_with_clusters(clusters))?;
     let cpc = m.config().ces_per_cluster;
     let cycle_ns = m.config().cycle_ns;
     let progs = build(probe, ces, cpc);

@@ -20,7 +20,7 @@ use crate::memory::address::{module_of, page_of};
 use crate::memory::sync::{Rel, SyncInstr, SyncOpKind, SyncOutcome};
 use crate::monitor::Histogrammer;
 use crate::network::packet::{MemReply, MemRequest, Packet, Payload, RequestKind, Stream};
-use crate::network::InjectPort;
+use crate::network::Omega;
 use crate::prefetch::{Pfu, PrefetchStats};
 use crate::program::{Block, MemOperand, Op, Program, VectorOp};
 use crate::sched::{BarrierDef, BarrierScope, CounterDef, EPOCH_SPACING};
@@ -30,10 +30,8 @@ use crate::vm::Tlb;
 
 /// Everything a CE touches outside itself during one tick.
 pub struct CeContext<'a> {
-    /// The forward network (request injection at this CE's port): the
-    /// [`Omega`](crate::network::Omega) itself on the single-threaded
-    /// engine, a per-port staging buffer under the parallel engine.
-    pub forward: &'a mut dyn InjectPort,
+    /// The forward network (request injection at this CE's port).
+    pub forward: &'a mut Omega,
     /// The CE's cluster's shared cache.
     pub cache: &'a mut ClusterCache,
     /// The CE's cluster's concurrency control bus.
@@ -356,16 +354,6 @@ impl CeEngine {
     /// Execution statistics.
     pub fn stats(&self) -> CeStats {
         self.stats
-    }
-
-    /// Retract `cycles` idle ticks. The partitioned parallel engine uses
-    /// this when a chunk overshoots the machine's completion cycle: every
-    /// overshot tick of a done CE is a pure `idle += 1` (nothing else in
-    /// the engine moves once `is_done` holds), so subtracting the
-    /// overshoot restores the serial loop's statistics exactly.
-    pub(crate) fn uncount_idle(&mut self, cycles: u64) {
-        debug_assert!(self.is_done(), "only a done CE accrues retractable idle");
-        self.stats.idle -= cycles;
     }
 
     /// Prefetch-unit statistics (flushing the in-progress trace).

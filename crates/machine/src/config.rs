@@ -285,31 +285,6 @@ pub struct MachineConfig {
     pub ces_per_cluster: usize,
     /// CE instruction cycle time in nanoseconds (Cedar: 170 ns).
     pub cycle_ns: f64,
-    /// Simulation host threads for the cluster phase of each cycle.
-    ///
-    /// `1` (the default) is the single-threaded engine. Larger values shard
-    /// the per-cycle cluster stepping (CEs, cluster cache and memory,
-    /// prefetch units, concurrency bus) across `std::thread::scope` workers
-    /// with a barrier exchange for cross-cluster traffic; results are
-    /// bit-for-bit identical to the single-threaded engine (see
-    /// `Machine::run`). Capped at the cluster count; ignored (serial
-    /// fallback) when [`VmConfig::enabled`] is set, because page-fault
-    /// interleaving is inherently order-dependent.
-    pub num_threads: usize,
-    /// Chunk length for the partitioned parallel engine, in cycles.
-    ///
-    /// `0` (the default) derives the chunk length automatically each round
-    /// from the machine's conservative lookahead bound — the minimum number
-    /// of cycles before shared state (the omega networks and global memory)
-    /// can deliver anything back into a cluster. `1` recovers the per-cycle
-    /// barrier engine. Larger values cap the automatic bound (they never
-    /// raise it: the bound is what keeps results exact). Purely a
-    /// wall-clock knob: results are bit-for-bit identical at any setting
-    /// (tested). The `CEDAR_CHUNK_CYCLES` environment variable supplies
-    /// this at run time when the configured value is 0, so explicit test
-    /// legs stay meaningful under a CI env matrix. Only consulted by the
-    /// parallel engine (`num_threads > 1`).
-    pub chunk_cycles: usize,
     /// Whether the engines may fast-forward over quiescent stretches —
     /// cycles in which no subsystem can change externally visible state —
     /// instead of ticking through them one by one. Purely a wall-clock
@@ -353,12 +328,11 @@ pub struct MachineConfig {
     /// Simulated cycles between automatic mid-run checkpoints, or `0`
     /// (the default) for no auto-checkpointing. Requires
     /// [`checkpoint_path`](Self::checkpoint_path). Checkpoints are taken
-    /// at run-loop boundaries only (post-tick in the serial engine,
-    /// post-exchange in the parallel engine), so the interval is a floor,
-    /// not an exact period. Purely an availability knob: the simulated
-    /// results are bit-for-bit identical with checkpointing on or off,
-    /// and a run resumed from a checkpoint finishes bit-identical to the
-    /// uninterrupted run (tested).
+    /// at run-loop boundaries only (post-tick, post-skip), so the interval
+    /// is a floor, not an exact period. Purely an availability knob: the
+    /// simulated results are bit-for-bit identical with checkpointing on
+    /// or off, and a run resumed from a checkpoint finishes bit-identical
+    /// to the uninterrupted run (tested).
     pub checkpoint_every: u64,
     /// Where the auto-checkpoint writes its snapshot. Each checkpoint
     /// atomically replaces the previous one (temp-file-and-rename), so
@@ -374,8 +348,6 @@ impl MachineConfig {
             clusters: 4,
             ces_per_cluster: 8,
             cycle_ns: CEDAR_CYCLE_NS,
-            num_threads: 1,
-            chunk_cycles: 0,
             fast_forward: true,
             flow_path: true,
             lowered: true,
@@ -403,29 +375,13 @@ impl MachineConfig {
         cfg
     }
 
-    /// The same configuration with `num_threads` simulation threads.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
-        self
-    }
-
-    /// The same configuration with `num_threads` taken from the
-    /// `CEDAR_NUM_THREADS` environment variable when set (and parseable);
-    /// unchanged otherwise. The experiment drivers route every machine they
-    /// build through this, so a CI leg or a user can switch the whole
-    /// experiment suite to the parallel engine without touching code.
-    pub fn with_env_threads(mut self) -> Self {
-        if let Some(n) = threads_from_env() {
-            self.num_threads = n;
-        }
-        self
-    }
-
-    /// The same configuration with the given parallel-engine chunk length
-    /// (`0` = automatic lookahead bound; equivalence tests pin explicit
-    /// lengths so they stay meaningful under a CI env matrix).
-    pub fn with_chunk_cycles(mut self, chunk_cycles: usize) -> Self {
-        self.chunk_cycles = chunk_cycles;
+    /// Returns `self` unchanged. The simulator has one engine, the
+    /// serial run loop, so there is no intra-run thread count left to
+    /// read from the environment; host cores are used across independent
+    /// points through the experiment sweep runner instead. Kept only
+    /// because the `paperbench` package still calls it; it goes when
+    /// that benchmark next changes.
+    pub fn with_env_threads(self) -> Self {
         self
     }
 
@@ -510,9 +466,6 @@ impl MachineConfig {
         if self.ces_per_cluster == 0 {
             return Err("clusters must have at least one CE".into());
         }
-        if self.num_threads == 0 {
-            return Err("the machine needs at least one simulation thread".into());
-        }
         if self.cycle_ns <= 0.0 || self.cycle_ns.is_nan() {
             return Err("cycle time must be positive".into());
         }
@@ -585,9 +538,9 @@ impl Default for MachineConfig {
 // documented strict/lenient policy); re-exported here so call sites keep
 // their historical `config::` paths.
 pub use crate::env::{
-    checkpoint_every_from_env, checkpoint_path_from_env, chunk_cycles_from_env,
-    fastfwd_disabled_from_env, fault_seed_from_env, flowpath_disabled_from_env,
-    lowered_disabled_from_env, parse_env_threads, threads_from_env, trace_plan_from_env,
+    checkpoint_every_from_env, checkpoint_path_from_env, fastfwd_disabled_from_env,
+    fault_seed_from_env, flowpath_disabled_from_env, lowered_disabled_from_env, parse_env_threads,
+    trace_plan_from_env,
 };
 
 #[cfg(test)]
@@ -650,23 +603,6 @@ mod tests {
         let bytes_per_sec = cfg.global_memory.modules as f64 * 8.0
             / (cfg.global_memory.service_cycles as f64 * cfg.cycle_ns * 1e-9);
         assert!(bytes_per_sec > 700e6 && bytes_per_sec < 800e6);
-    }
-
-    #[test]
-    fn thread_count_defaults_to_serial_and_validates() {
-        let cfg = MachineConfig::cedar();
-        assert_eq!(cfg.num_threads, 1);
-        assert_eq!(cfg.with_threads(4).num_threads, 4);
-        let mut cfg = MachineConfig::cedar();
-        cfg.num_threads = 0;
-        assert!(cfg.validate().is_err(), "zero threads cannot step anything");
-    }
-
-    #[test]
-    fn chunk_cycles_defaults_to_auto_and_builds() {
-        let cfg = MachineConfig::cedar();
-        assert_eq!(cfg.chunk_cycles, 0, "default is the automatic bound");
-        assert_eq!(cfg.with_chunk_cycles(4).chunk_cycles, 4);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every `CEDAR_*` runtime knob is parsed here, under one documented
 //! policy with two tiers:
 //!
-//! * **Lenient** knobs steer pure wall-clock behaviour — thread counts,
-//!   chunk lengths, the `CEDAR_NO_*` escape hatches. The simulated
+//! * **Lenient** knobs steer pure wall-clock behaviour — the sweep
+//!   runner's thread count, the `CEDAR_NO_*` escape hatches. The simulated
 //!   results are bit-for-bit identical whatever these are set to, so a
 //!   malformed value is never worth aborting a run over: the parser
 //!   prints a stderr warning naming the variable, the rejected value and
@@ -22,21 +22,11 @@
 
 use crate::error::MachineError;
 
-/// The simulation thread count requested through the `CEDAR_NUM_THREADS`
-/// environment variable, if set to a positive integer.
-///
-/// A set-but-invalid value (garbage, zero, negative) is *not* silently
-/// ignored: a warning naming the variable, the rejected value and the
-/// fallback is printed to stderr, and the configured thread count stands.
-pub fn threads_from_env() -> Option<usize> {
-    parse_env_threads("CEDAR_NUM_THREADS")
-}
-
-/// Shared lenient parser for thread-count environment knobs
-/// (`CEDAR_NUM_THREADS` here, `CEDAR_SWEEP_THREADS` in the experiment
-/// sweep driver): unset → `None`; a positive integer → `Some(n)`; anything
-/// else → `None` *with a stderr warning* so a typo in a CI matrix is
-/// visible instead of silently running the fallback configuration.
+/// Lenient parser for thread-count environment knobs
+/// (`CEDAR_SWEEP_THREADS` in the experiment sweep driver): unset →
+/// `None`; a positive integer → `Some(n)`; anything else → `None` *with a
+/// stderr warning* so a typo in a CI matrix is visible instead of
+/// silently running the fallback configuration.
 pub fn parse_env_threads(var: &str) -> Option<usize> {
     let raw = std::env::var(var).ok()?;
     match raw.trim().parse::<usize>() {
@@ -51,38 +41,13 @@ pub fn parse_env_threads(var: &str) -> Option<usize> {
     }
 }
 
-/// The chunk-length cap requested through the `CEDAR_CHUNK_CYCLES`
-/// environment variable, if set to a non-negative integer: `0` asks for
-/// the automatic lookahead bound, `1` recovers the per-cycle barrier
-/// engine, and `k > 1` caps the automatic bound at `k` cycles. Unset →
-/// `None` (the configured [`MachineConfig::chunk_cycles`] stands).
-///
-/// Lenient like the thread knobs — chunking is purely a wall-clock
-/// optimization (results are bit-for-bit identical at any chunk length),
-/// so garbage warns and falls back instead of failing the run.
-///
-/// [`MachineConfig::chunk_cycles`]: crate::config::MachineConfig::chunk_cycles
-pub fn chunk_cycles_from_env() -> Option<usize> {
-    let raw = std::env::var("CEDAR_CHUNK_CYCLES").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring CEDAR_CHUNK_CYCLES={raw:?}: expected a non-negative \
-                 integer (0 = automatic); falling back to the configured chunk length"
-            );
-            None
-        }
-    }
-}
-
 /// The fault-injection seed requested through the `CEDAR_FAULT_SEED`
 /// environment variable: unset → `Ok(None)`, a u64 (decimal, or hex with a
 /// `0x` prefix) → `Ok(Some(seed))`.
 ///
 /// # Errors
 ///
-/// Unlike the thread knobs, an invalid seed is a hard
+/// Unlike the lenient knobs, an invalid seed is a hard
 /// [`MachineError::InvalidConfig`]: a resilience run with a silently
 /// wrong seed would report results for an experiment nobody asked for.
 pub fn fault_seed_from_env() -> Result<Option<u64>, MachineError> {
@@ -109,7 +74,7 @@ pub fn fault_seed_from_env() -> Result<Option<u64>, MachineError> {
 ///
 /// # Errors
 ///
-/// Like [`fault_seed_from_env`] and unlike the thread knobs, garbage in
+/// Like [`fault_seed_from_env`] and unlike the lenient knobs, garbage in
 /// either variable is a hard [`MachineError::InvalidConfig`] naming the
 /// variable: tracing *changes observable output* (the `trace.*` stats
 /// keys and every trace report), so silently running a different sampling
@@ -239,46 +204,25 @@ fn truthy_env(var: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
 
     // One test owns each variable end to end: unit tests share a process,
     // so splitting a variable's cases across tests would race on the
     // environment.
     #[test]
-    fn env_thread_knob_parses_and_feeds_with_env_threads() {
-        std::env::remove_var("CEDAR_NUM_THREADS");
-        assert_eq!(threads_from_env(), None);
-        assert_eq!(MachineConfig::cedar().with_env_threads().num_threads, 1);
+    fn env_thread_knob_parses_leniently() {
+        const VAR: &str = "CEDAR_ENV_TEST_THREADS";
+        std::env::remove_var(VAR);
+        assert_eq!(parse_env_threads(VAR), None);
 
-        std::env::set_var("CEDAR_NUM_THREADS", " 4 ");
-        assert_eq!(threads_from_env(), Some(4));
-        assert_eq!(MachineConfig::cedar().with_env_threads().num_threads, 4);
+        std::env::set_var(VAR, " 4 ");
+        assert_eq!(parse_env_threads(VAR), Some(4));
 
         // Garbage and zero are ignored (with a stderr warning), not errors.
         for bad in ["zero", "", "0", "-2"] {
-            std::env::set_var("CEDAR_NUM_THREADS", bad);
-            assert_eq!(threads_from_env(), None, "{bad:?} should not parse");
+            std::env::set_var(VAR, bad);
+            assert_eq!(parse_env_threads(VAR), None, "{bad:?} should not parse");
         }
-        std::env::remove_var("CEDAR_NUM_THREADS");
-    }
-
-    // Same single-owner rule for CEDAR_CHUNK_CYCLES.
-    #[test]
-    fn env_chunk_knob_is_lenient() {
-        std::env::remove_var("CEDAR_CHUNK_CYCLES");
-        assert_eq!(chunk_cycles_from_env(), None);
-
-        // Zero is a legal value (automatic bound), unlike the thread knob.
-        std::env::set_var("CEDAR_CHUNK_CYCLES", "0");
-        assert_eq!(chunk_cycles_from_env(), Some(0));
-        std::env::set_var("CEDAR_CHUNK_CYCLES", " 4 ");
-        assert_eq!(chunk_cycles_from_env(), Some(4));
-
-        for bad in ["auto", "", "-3", "1.5"] {
-            std::env::set_var("CEDAR_CHUNK_CYCLES", bad);
-            assert_eq!(chunk_cycles_from_env(), None, "{bad:?} should not parse");
-        }
-        std::env::remove_var("CEDAR_CHUNK_CYCLES");
+        std::env::remove_var(VAR);
     }
 
     // Same single-owner rule for CEDAR_FAULT_SEED.

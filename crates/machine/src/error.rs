@@ -60,24 +60,6 @@ pub struct HangReport {
     pub module_queues: Vec<(usize, usize)>,
     /// Global-memory operations still tracked by CE retry controllers.
     pub pending_retries: u64,
-    /// Lookahead-chunked parallel-engine context at detection; `None`
-    /// when the serial engine tripped the watchdog.
-    pub chunked: Option<ChunkedContext>,
-}
-
-/// What the lookahead-chunked parallel engine was doing when the
-/// watchdog fired, so a hang in the chunked exchange is diagnosable from
-/// the report alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkedContext {
-    /// Cycles per chunk in the most recent exchange round (1 = the
-    /// per-cycle fallback path).
-    pub chunk_cycles: u64,
-    /// Exchange rounds completed since the run started.
-    pub exchanges: u64,
-    /// Per-worker time parked at the exchange barriers, as
-    /// `(worker, waits, nanoseconds)`.
-    pub worker_sync_waits: Vec<(usize, u64, u64)>,
 }
 
 impl fmt::Display for HangReport {
@@ -94,16 +76,6 @@ impl fmt::Display for HangReport {
             self.rev_in_flight,
             self.pending_retries,
         )?;
-        if let Some(c) = &self.chunked {
-            writeln!(
-                f,
-                "  chunked engine: chunk={}cy, {} exchanges",
-                c.chunk_cycles, c.exchanges
-            )?;
-            for (worker, waits, ns) in &c.worker_sync_waits {
-                writeln!(f, "    worker[{worker}]: {waits} waits, {ns}ns parked")?;
-            }
-        }
         for (ce, state) in &self.ces {
             writeln!(f, "  ce[{ce}]: {state}")?;
         }
@@ -188,11 +160,6 @@ mod tests {
             rev_in_flight: 0,
             module_queues: vec![(3, 2)],
             pending_retries: 1,
-            chunked: Some(ChunkedContext {
-                chunk_cycles: 6,
-                exchanges: 512,
-                worker_sync_waits: vec![(0, 512, 90_000), (1, 512, 81_000)],
-            }),
         }
     }
 
@@ -204,12 +171,6 @@ mod tests {
         assert!(text.contains("ce[0]: GlobalBarrier(poll)"));
         assert!(text.contains("ce[8]: AwaitCounter"));
         assert!(text.contains("[3]=2"));
-        assert!(
-            text.contains("chunk=6cy"),
-            "chunked context missing: {text}"
-        );
-        assert!(text.contains("512 exchanges"));
-        assert!(text.contains("worker[1]: 512 waits"));
         let e = MachineError::Deadlock {
             report: Box::new(r),
         };

@@ -7,8 +7,8 @@
 //! names a seed, per-packet drop/NACK rates, and scheduled link/module
 //! outage windows, and every fault decision comes from a counter-based
 //! hash ([`mix`]) keyed on `(seed, site, sequence)` — never on host
-//! state — so a faulty run is bit-for-bit reproducible across
-//! `CEDAR_NUM_THREADS` and with fast-forward on or off.
+//! state — so a faulty run is bit-for-bit reproducible from run to run
+//! and with fast-forward on or off.
 //!
 //! Three kinds of fault, three recovery paths:
 //!
@@ -192,8 +192,8 @@ impl FaultPlan {
 
 /// The counter-based hash behind every fault decision: a splitmix64-style
 /// finalizer over `(seed, site, seq)`. Pure function of its inputs, so
-/// any execution order that preserves per-site sequence numbering (the
-/// parallel engine's staging replay does) sees identical faults.
+/// any execution order that preserves per-site sequence numbering sees
+/// identical faults.
 #[must_use]
 pub fn mix(seed: u64, site: u64, seq: u64) -> u64 {
     let mut z =

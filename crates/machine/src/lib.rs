@@ -49,7 +49,6 @@ pub mod machine;
 pub mod memory;
 pub mod monitor;
 pub mod network;
-mod parallel;
 pub mod prefetch;
 pub mod program;
 pub mod sched;
@@ -60,7 +59,7 @@ pub mod trace;
 pub mod vm;
 
 pub use config::MachineConfig;
-pub use error::{ChunkedContext, HangReport, MachineError, Result};
+pub use error::{HangReport, MachineError, Result};
 pub use fault::{FaultPlan, LinkOutage, ModuleOutage};
 pub use ids::{CeId, ClusterId, CounterId, ModuleId, PageId, PortId};
 pub use machine::{CounterScope, Machine, RunReport};

@@ -27,8 +27,8 @@
 //! Lowered execution must be **bit-for-bit identical** to the
 //! interpreter: same cycle counts, same per-cycle busy/stall/idle
 //! attribution, same packet issue cycles, same stats registries, memory
-//! digests and journey stamps, at every thread count, with fast-forward
-//! on or off, under faults and tracing. Two invariants carry the proof:
+//! digests and journey stamps, with fast-forward on or off, under faults
+//! and tracing. Two invariants carry the proof:
 //!
 //! 1. **Fusion only spans ops the interpreter executes back-to-back in
 //!    a continuous busy stall.** Every op folded into a timed run has

@@ -46,7 +46,7 @@ const STUCK_CHECK_INTERVAL: u64 = 4096;
 
 /// Consecutive inspections with every unfinished CE in a synchronization
 /// wait before the watchdog declares a deadlock.
-pub(crate) const STUCK_SYNC_CHECKS: u32 = 6;
+const STUCK_SYNC_CHECKS: u32 = 6;
 
 /// Forward-progress watchdog state: when to look next, and how many
 /// consecutive looks found every live CE stuck in a synchronization wait.
@@ -78,9 +78,7 @@ impl Watchdog {
         now >= self.next_check
     }
 
-    /// The cycle of the next scheduled inspection. The partitioned engine
-    /// clamps its chunks here so inspections land on exactly the cycles
-    /// the per-cycle loop would inspect.
+    /// The cycle of the next scheduled inspection (snapshot state).
     pub(crate) fn next_check(&self) -> Cycle {
         self.next_check
     }
@@ -88,17 +86,6 @@ impl Watchdog {
     pub(crate) fn arm_next(&mut self, now: Cycle) {
         self.next_check = now + STUCK_CHECK_INTERVAL;
     }
-}
-
-/// Outcome of one watchdog inspection.
-#[derive(Debug)]
-pub(crate) enum ProgressVerdict {
-    /// The machine can still make progress.
-    Live,
-    /// A retry controller exhausted its budget.
-    Faulted { ce: CeId, reason: String },
-    /// The machine can never finish; the string names the trigger.
-    Deadlock(&'static str),
 }
 
 /// Where a loop-scheduling counter should live.
@@ -921,18 +908,13 @@ impl Machine {
             }),
             _ => None,
         };
-        let run = if self.effective_threads() > 1 {
-            self.run_loop_parallel(start, limit, fastfwd, &mut watchdog, &mut ckpt)
-        } else {
-            self.run_loop_serial(start, limit, fastfwd, &mut watchdog, &mut ckpt)
-        };
-        run?;
+        self.run_loop(start, limit, fastfwd, &mut watchdog, &mut ckpt)?;
         fill_util_samples(&self.engines, &mut self.util_scratch);
         self.timeline.finish(self.now, &self.util_scratch);
         Ok(self.report(start, &stats_start))
     }
 
-    fn run_loop_serial(
+    fn run_loop(
         &mut self,
         start: Cycle,
         limit: u64,
@@ -963,7 +945,7 @@ impl Machine {
             // the run is mid-fast-forward, mid-outage or mid-journey.
             if let Some(ck) = ckpt.as_mut() {
                 if self.now >= ck.next {
-                    let image = self.run_image(ck, watchdog);
+                    let image = self.snapshot_image(Some((ck, watchdog)));
                     crate::snapshot::write_snapshot_file(&ck.path, &image)?;
                     ck.next = self.now + ck.every;
                 }
@@ -972,38 +954,25 @@ impl Machine {
         Ok(())
     }
 
-    /// One forward-progress inspection (serial engine; the parallel
-    /// coordinator runs the same checks through
-    /// [`Machine::progress_verdict`]).
+    /// One forward-progress inspection: the watchdog's judgement of the
+    /// machine's ability to finish.
     ///
     /// # Errors
     ///
     /// [`MachineError::Faulted`] when a retry controller exhausted its
     /// budget, [`MachineError::Deadlock`] when the machine cannot finish.
-    fn check_progress(&mut self, watchdog: &mut Watchdog) -> Result<()> {
-        match self.progress_verdict(watchdog) {
-            ProgressVerdict::Live => Ok(()),
-            ProgressVerdict::Faulted { ce, reason } => Err(MachineError::Faulted { ce, reason }),
-            ProgressVerdict::Deadlock(kind) => Err(MachineError::Deadlock {
-                report: Box::new(self.hang_report(kind)),
-            }),
-        }
-    }
-
-    /// The watchdog's judgement of the machine's ability to finish,
-    /// shared by the serial and parallel engines.
-    pub(crate) fn progress_verdict(&self, watchdog: &mut Watchdog) -> ProgressVerdict {
+    fn check_progress(&self, watchdog: &mut Watchdog) -> Result<()> {
         watchdog.arm_next(self.now);
         // A CE whose retry controller gave up can never become done.
         for e in self.engines.iter().flatten() {
             if let Some(reason) = e.fault_exhausted() {
-                return ProgressVerdict::Faulted { ce: e.id(), reason };
+                return Err(MachineError::Faulted { ce: e.id(), reason });
             }
         }
         // No subsystem will ever act again, yet work remains: nothing can
         // change, so nothing will complete.
         if !self.all_done() && self.next_machine_event().is_none() {
-            return ProgressVerdict::Deadlock("event starvation");
+            return Err(self.deadlock("event starvation"));
         }
         // Every unfinished CE sat in a synchronization wait across several
         // consecutive checks: a barrier/counter that can never release
@@ -1022,16 +991,17 @@ impl Machine {
         if unfinished > 0 && sync_waiting == unfinished {
             watchdog.sync_stuck += 1;
             if watchdog.sync_stuck >= STUCK_SYNC_CHECKS {
-                return ProgressVerdict::Deadlock("synchronization stall");
+                return Err(self.deadlock("synchronization stall"));
             }
         } else {
             watchdog.sync_stuck = 0;
         }
-        ProgressVerdict::Live
+        Ok(())
     }
 
-    /// Capture the machine state for a [`MachineError::Deadlock`].
-    pub(crate) fn hang_report(&self, kind: &str) -> HangReport {
+    /// A [`MachineError::Deadlock`] capturing the machine state; `kind`
+    /// names what tripped the watchdog.
+    fn deadlock(&self, kind: &str) -> MachineError {
         let mut ces = Vec::new();
         let mut barrier_waiters = 0usize;
         let mut pending_retries = 0u64;
@@ -1049,7 +1019,7 @@ impl Machine {
                 }
             }
         }
-        HangReport {
+        let report = HangReport {
             at_cycle: self.now.0,
             kind: kind.to_string(),
             ces,
@@ -1058,7 +1028,9 @@ impl Machine {
             rev_in_flight: self.reverse.in_flight_packets(),
             module_queues: self.gmem.queue_depths(),
             pending_retries,
-            chunked: None,
+        };
+        MachineError::Deadlock {
+            report: Box::new(report),
         }
     }
 
@@ -1157,24 +1129,11 @@ impl Machine {
         }
     }
 
-    /// Worker threads the parallel engine will actually use: the
-    /// configured count, capped at one worker per cluster, forced to one
-    /// when VM modelling is on (page-fault interleaving across clusters is
-    /// inherently order-dependent, so only the serial engine can model
-    /// it deterministically).
-    pub(crate) fn effective_threads(&self) -> usize {
-        if self.cfg.vm.enabled {
-            1
-        } else {
-            self.cfg.num_threads.min(self.cfg.clusters)
-        }
-    }
-
     /// A deterministic digest of the machine's persistent memory state:
     /// every global-memory synchronization word and every cluster-cache
     /// tag array. Two runs of the same programs end with equal digests iff
-    /// they performed the same memory-visible work — the determinism test
-    /// suite compares this across thread counts.
+    /// they performed the same memory-visible work — the determinism and
+    /// equivalence suites compare this across runs and engine paths.
     pub fn memory_digest(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::Hasher;
@@ -1287,9 +1246,9 @@ impl Machine {
         // Drain journey stamps into the span store in a fixed order —
         // engines in CE order (controller then PFU), forward network,
         // reverse network, memory modules in bank order — so the store's
-        // contents are identical across thread counts and fast-forward
-        // settings. (Assembly sorts anyway; the fixed order makes the raw
-        // event stream comparable too.)
+        // contents are identical across fast-forward, flow-path and
+        // lowering settings. (Assembly sorts anyway; the fixed order makes
+        // the raw event stream comparable too.)
         for e in self.engines.iter_mut().flatten() {
             let (mut ev, d) = e.drain_trace();
             self.trace_store.events.append(&mut ev);
@@ -1356,7 +1315,7 @@ impl Machine {
 /// Fill `out` with cumulative per-CE utilization samples, one per
 /// configured CE (all-zero for CEs that run no program). Reuses the
 /// caller's buffer so the per-bucket timeline record allocates nothing.
-pub(crate) fn fill_util_samples(engines: &[Option<CeEngine>], out: &mut Vec<UtilSample>) {
+fn fill_util_samples(engines: &[Option<CeEngine>], out: &mut Vec<UtilSample>) {
     out.clear();
     out.extend(engines.iter().map(|e| match e {
         Some(e) => {

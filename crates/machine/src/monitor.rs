@@ -77,19 +77,6 @@ impl EventTracer {
         self.capacity
     }
 
-    /// Append another tracer's events (and its dropped count) to this
-    /// one, respecting this tracer's capacity. The parallel engine merges
-    /// per-shard cycle buffers in cluster order through this; because a
-    /// shard buffer only overflows once the merged trace would have
-    /// overflowed too, the merged result matches a single serial tracer
-    /// exactly.
-    pub fn absorb(&mut self, other: &EventTracer) {
-        for &(at, tag) in other.events() {
-            self.post(at, tag);
-        }
-        self.dropped += other.dropped();
-    }
-
     /// Clear the trace for a new experiment.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -303,45 +290,6 @@ mod tests {
         t.clear();
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
-    }
-
-    /// Replaying the same post stream through per-shard buffers merged
-    /// with `absorb` in shard order must reproduce the serial tracer
-    /// byte for byte — events AND the dropped count — including when the
-    /// merged trace overflows mid-absorb. This pins the invariant the
-    /// parallel engine's exchange phase relies on, at shard counts
-    /// matching the 1/2/4-thread configurations.
-    #[test]
-    fn chunked_absorb_matches_serial_posting() {
-        // 25 events over 5 "cycles", capacity 13: overflow lands inside
-        // the middle shard's absorb, not on a chunk boundary.
-        let stream: Vec<(Cycle, u32)> = (0..25).map(|i| (Cycle(i / 5), i as u32)).collect();
-        let cap = 13;
-
-        let mut serial = EventTracer::with_capacity(cap);
-        for &(at, tag) in &stream {
-            serial.post(at, tag);
-        }
-
-        for shards in [1usize, 2, 4] {
-            let mut merged = EventTracer::with_capacity(cap);
-            // Per cycle, split that cycle's events contiguously across
-            // shards and absorb the shard buffers in order — the exchange
-            // phase's merge discipline.
-            for cycle in 0..5 {
-                let in_cycle: Vec<_> = stream.iter().filter(|&&(at, _)| at.0 == cycle).collect();
-                let per = in_cycle.len().div_ceil(shards);
-                for chunk in in_cycle.chunks(per.max(1)) {
-                    let mut shard = EventTracer::with_capacity(cap);
-                    for &&(at, tag) in chunk {
-                        shard.post(at, tag);
-                    }
-                    merged.absorb(&shard);
-                }
-            }
-            assert_eq!(merged.events(), serial.events(), "{shards} shards");
-            assert_eq!(merged.dropped(), serial.dropped(), "{shards} shards");
-        }
     }
 
     #[test]

@@ -8,5 +8,5 @@
 pub mod omega;
 pub mod packet;
 
-pub use omega::{InjectPort, NetSink, NetStats, Omega};
+pub use omega::{NetSink, NetStats, Omega};
 pub use packet::{MemReply, MemRequest, Packet, Payload, RequestKind, Stream};

@@ -47,23 +47,6 @@ struct Flit {
     route: u8,
 }
 
-/// Where producers push packets. Implemented directly by [`Omega`] (the
-/// single-threaded engine injects straight into the network) and by the
-/// parallel engine's per-port staging buffers, which record injections
-/// during the sharded cluster phase and replay them against the real
-/// network at the barrier, in deterministic port order.
-pub trait InjectPort {
-    /// Offer a packet for injection at `port`; `false` means the port is
-    /// backpressured this cycle and the caller must retry later.
-    fn try_inject(&mut self, port: usize, packet: Packet) -> bool;
-}
-
-impl InjectPort for Omega {
-    fn try_inject(&mut self, port: usize, packet: Packet) -> bool {
-        Omega::try_inject(self, port, packet)
-    }
-}
-
 /// Trace id and issuing CE carried in a packet's payload.
 #[inline]
 fn pkt_trace(p: &Packet) -> (u64, u16) {
@@ -132,9 +115,8 @@ enum Slot {
 }
 
 /// Upper bound on per-port injector occupancy (the configured cap is 2;
-/// the array is sized with slack so the ring stays branch-trivial). Shared
-/// with the parallel engine, whose staging ports mirror the ring.
-pub(crate) const INJ_CAP: usize = 4;
+/// the array is sized with slack so the ring stays branch-trivial).
+const INJ_CAP: usize = 4;
 
 /// Per-port packet injector: producers hand over whole packets; the
 /// injector streams them into the first stage one word per cycle. A fixed
@@ -260,9 +242,8 @@ struct NetFaults {
     drop_ppm: u64,
     nack_ppm: u64,
     /// Monotone per-port count of *accepted* injections — the RNG
-    /// sequence number. Both engines accept injections at a port in the
-    /// same order (the parallel engine replays staged injections in
-    /// deterministic port order), so the stream is engine-invariant.
+    /// sequence number. Injections at a port are accepted in the same
+    /// order on every engine path, so the stream is path-invariant.
     inj_seq: Vec<u64>,
     /// Ports currently refusing all injections (scheduled link outages).
     down: Vec<bool>,
@@ -651,8 +632,7 @@ impl Omega {
     }
 
     /// Packets `port`'s injector can still accept this cycle. Injection
-    /// acceptance depends only on this per-port occupancy, which is what
-    /// lets the parallel engine precompute it for its staging buffers.
+    /// acceptance depends only on this per-port occupancy.
     pub fn injector_free(&self, port: usize) -> usize {
         if let Some(f) = self.faults.as_deref() {
             if f.down[port] {
@@ -660,60 +640,6 @@ impl Omega {
             }
         }
         self.injector_cap.saturating_sub(self.injectors[port].len())
-    }
-
-    /// Packets currently queued on `port`'s injector ring.
-    pub(crate) fn injector_len(&self, port: usize) -> usize {
-        self.injectors[port].len()
-    }
-
-    /// Words still to be streamed by `port`'s injector, in drain order:
-    /// the front packet's *remaining* words first, then each queued
-    /// packet's full word count. Seeds the parallel engine's shadow
-    /// injector ring at a chunk boundary. The front entry is always ≥ 1:
-    /// a fully-sent packet is popped the cycle its last word moves.
-    pub(crate) fn injector_backlog(&self, port: usize) -> ([u8; INJ_CAP], usize) {
-        let inj = &self.injectors[port];
-        let mut words = [0u8; INJ_CAP];
-        for (slot, out) in words.iter_mut().enumerate().take(inj.len()) {
-            *out = inj.slots[(usize::from(inj.head) + slot) % INJ_CAP].1;
-        }
-        if inj.len() > 0 {
-            debug_assert!(words[0] > inj.words_sent);
-            words[0] -= inj.words_sent;
-        }
-        (words, inj.len())
-    }
-
-    /// Occupancy, in words, of the stage-0 switch queue that `port`'s
-    /// injector streams into (each port owns its stage-0 line through the
-    /// perfect shuffle, so this occupancy is what gates injection drains).
-    pub(crate) fn stage0_queue_len(&self, port: usize) -> usize {
-        usize::from(self.qlen[self.shuffle_tab[port] as usize])
-    }
-
-    /// Capacity, in words, of each stage queue.
-    pub(crate) fn stage_queue_cap(&self) -> usize {
-        self.queue_cap
-    }
-
-    /// Capacity, in packets, of each port's injector ring.
-    pub(crate) fn injector_capacity(&self) -> usize {
-        self.injector_cap
-    }
-
-    /// True when the fault layer currently holds `port`'s link down.
-    pub(crate) fn port_link_down(&self, port: usize) -> bool {
-        self.faults.as_deref().is_some_and(|f| f.down[port])
-    }
-
-    /// Fold `n` link-refused injection attempts counted outside the
-    /// network into `link_blocked`. The parallel engine's staging ports
-    /// refuse injections on behalf of a downed link mid-chunk (exactly as
-    /// [`Omega::try_inject`] would have, which charges the stat without
-    /// touching any other state) and account them here at the exchange.
-    pub(crate) fn add_link_blocked(&mut self, n: u64) {
-        self.stats.link_blocked += n;
     }
 
     /// Statistics since construction.

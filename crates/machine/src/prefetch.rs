@@ -15,7 +15,7 @@ use crate::config::PrefetchConfig;
 use crate::ids::CeId;
 use crate::memory::address::{crosses_page, module_of};
 use crate::network::packet::{MemRequest, Packet, RequestKind, Stream};
-use crate::network::InjectPort;
+use crate::network::Omega;
 use crate::time::Cycle;
 use crate::trace::{hop, sample_prefetch, PfuTrace, TraceEvent};
 
@@ -182,7 +182,7 @@ impl Pfu {
     }
 
     /// Arm causal journey tracing: fires are sampled deterministically by
-    /// `(seed, ce, fire_seq)`, independent of thread count or fast-forward.
+    /// `(seed, ce, fire_seq)`, independent of fast-forward.
     pub(crate) fn enable_trace(&mut self, seed: u64, sample_ppm: u32) {
         self.jtrace = Some(Box::new(PfuTrace::new(seed, sample_ppm)));
     }
@@ -352,7 +352,7 @@ impl Pfu {
 
     /// Advance one cycle: issue up to `issue_per_cycle` requests into the
     /// CE's forward-network port.
-    pub fn tick(&mut self, now: Cycle, port: usize, forward: &mut dyn InjectPort) {
+    pub fn tick(&mut self, now: Cycle, port: usize, forward: &mut Omega) {
         for _ in 0..self.cfg.issue_per_cycle {
             match self.state {
                 IssueState::Idle => {
@@ -445,13 +445,7 @@ impl Pfu {
     /// fire sequence (in-flight duplicates of earlier requests then land
     /// harmlessly in the already-full slot). Returns `false` when the
     /// caller's issue loop should stop for this cycle.
-    fn retry_scan(
-        &mut self,
-        now: Cycle,
-        next: u32,
-        port: usize,
-        forward: &mut dyn InjectPort,
-    ) -> bool {
+    fn retry_scan(&mut self, now: Cycle, next: u32, port: usize, forward: &mut Omega) -> bool {
         let armed = self.armed.expect("retry implies armed");
         let mut i = next;
         while i < self.expected {

@@ -5,8 +5,8 @@
 //! and statistic that the tick loop can touch — taken mid-run and
 //! restorable onto a freshly constructed machine with the same
 //! configuration and programs. The determinism work (bit-identical
-//! results across threads × fast-forward × flow path × lowering × faults
-//! × tracing × chunking) extends to restored runs: a run killed at an
+//! results across fast-forward × flow path × lowering × faults × tracing)
+//! extends to restored runs: a run killed at an
 //! arbitrary cycle and resumed from its last checkpoint finishes with the
 //! same fingerprint, memory digest, stats tree and report as the
 //! uninterrupted run. `tests/snapshot.rs` is the proof harness.
@@ -35,7 +35,7 @@
 //! lowered program streams), the loaded programs themselves (the caller
 //! re-loads them — experiment drivers are deterministic, so the programs
 //! are identical), and the host-side wall-clock profiler (it measures
-//! the host, not the machine). See DESIGN.md §10.
+//! the host, not the machine). See DESIGN.md §9.
 
 use std::fs;
 use std::io::Write as _;
@@ -46,7 +46,7 @@ use crate::error::MachineError;
 mod machine;
 mod wire;
 
-pub(crate) use machine::{save_payload, CkptCtl, RunSnap, SaveCtx};
+pub(crate) use machine::CkptCtl;
 pub(crate) use wire::{get_packet, get_request, put_packet, put_request};
 
 /// Format magic: identifies a Cedar machine snapshot.

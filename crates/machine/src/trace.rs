@@ -13,11 +13,11 @@
 //! [`fault`](crate::fault): `mix(seed, site, seq) % 1M < sample_ppm`,
 //! where `site` encodes the sampling point (a CE, a prefetch unit, a
 //! barrier) and `seq` is a monotone per-site candidate counter. Both are
-//! engine-invariant — the parallel engine runs every CE bit-identically
-//! to the serial one, and fast-forward only skips cycles in which no hop
-//! can occur — so the set of sampled journeys, every stamped cycle, and
-//! every derived report are bit-identical across `CEDAR_NUM_THREADS` and
-//! fast-forward on/off. With tracing off (`sample_ppm == 0`) no trace id
+//! engine-invariant — fast-forward only skips cycles in which no hop can
+//! occur, and the flow path and lowered execution are bit-identical to
+//! their oracles — so the set of sampled journeys, every stamped cycle,
+//! and every derived report are bit-identical across fast-forward, flow
+//! path and lowering on/off. With tracing off (`sample_ppm == 0`) no trace id
 //! is ever assigned, no event is ever stamped, and no `trace.*` stats
 //! key is emitted, so all registries and goldens match the untraced
 //! simulator byte for byte.
@@ -785,9 +785,6 @@ pub fn episodes(journeys: &[Journey]) -> Vec<BarrierEpisode> {
 #[derive(Debug)]
 pub struct HostProfiler {
     regions: Vec<(&'static str, u64, u64)>, // (phase, calls, total_ns)
-    /// Dynamically named rows (one per parallel worker plus run-level
-    /// counters), accumulated by name across runs like the fixed regions.
-    extras: Vec<(String, u64, u64)>, // (phase, calls, total_ns)
 }
 
 impl Default for HostProfiler {
@@ -806,19 +803,17 @@ pub mod region {
     pub const REVERSE: usize = 2;
     /// Forward-network tick (including module-side delivery).
     pub const FORWARD: usize = 3;
-    /// Cluster phase: CC buses + CE engines (per shard in parallel runs).
+    /// Cluster phase: CC buses + CE engines.
     pub const CLUSTER: usize = 4;
-    /// Parallel exchange phase: staged-injection replay + tracer merge.
-    pub const EXCHANGE: usize = 5;
     /// Timeline sampling.
-    pub const TIMELINE: usize = 6;
+    pub const TIMELINE: usize = 5;
     /// Event-horizon fast-forward.
-    pub const FASTFWD: usize = 7;
+    pub const FASTFWD: usize = 6;
     /// Number of regions.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     pub(crate) const NAMES: [&str; COUNT] = [
-        "faults", "gmem", "reverse", "forward", "cluster", "exchange", "timeline", "fastfwd",
+        "faults", "gmem", "reverse", "forward", "cluster", "timeline", "fastfwd",
     ];
 }
 
@@ -827,7 +822,6 @@ impl HostProfiler {
     pub fn new() -> HostProfiler {
         HostProfiler {
             regions: region::NAMES.iter().map(|&n| (n, 0, 0)).collect(),
-            extras: Vec::new(),
         }
     }
 
@@ -839,39 +833,16 @@ impl HostProfiler {
         r.2 += elapsed.as_nanos() as u64;
     }
 
-    /// Charge `calls`/`total_ns` to a dynamically named row, creating it
-    /// on first use. The parallel engine reports per-worker barrier waits
-    /// (`sync_wait_w0`, `sync_wait_w1`, …) and its exchange count
-    /// (`exchanges`, wall-time-free) through this; repeated runs on one
-    /// machine accumulate, matching the fixed regions.
-    pub fn add_named(&mut self, phase: &str, calls: u64, total_ns: u64) {
-        match self.extras.iter_mut().find(|(n, _, _)| n == phase) {
-            Some(r) => {
-                r.1 += calls;
-                r.2 += total_ns;
-            }
-            None => self.extras.push((phase.to_string(), calls, total_ns)),
-        }
-    }
-
     /// `(phase, calls, total_ns)` rows in region order.
     pub fn rows(&self) -> &[(&'static str, u64, u64)] {
         &self.regions
     }
 
-    /// Dynamically named `(phase, calls, total_ns)` rows, in first-use
-    /// order (workers first, then run counters, as the engine adds them).
-    pub fn extra_rows(&self) -> &[(String, u64, u64)] {
-        &self.extras
-    }
-
-    /// Render the metrics stream: one JSON object per line per phase,
-    /// fixed regions first, then the dynamically named rows.
+    /// Render the metrics stream: one JSON object per line per phase, in
+    /// region order.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        let named = self.extras.iter().map(|(n, c, t)| (n.as_str(), *c, *t));
-        for (phase, calls, total_ns) in self.regions.iter().map(|&(n, c, t)| (n, c, t)).chain(named)
-        {
+        for &(phase, calls, total_ns) in &self.regions {
             let mean = if calls == 0 {
                 0.0
             } else {
@@ -1063,20 +1034,5 @@ mod tests {
         assert!(gmem.contains("\"calls\":2"));
         assert!(gmem.contains("\"total_ns\":1200"));
         assert!(gmem.contains("\"mean_ns\":600.0"));
-
-        // Named rows accumulate by name and append after the regions.
-        p.add_named("sync_wait_w0", 3, 900);
-        p.add_named("sync_wait_w0", 1, 100);
-        p.add_named("exchanges", 42, 0);
-        let out = p.jsonl();
-        assert_eq!(out.lines().count(), region::COUNT + 2);
-        let w0 = out
-            .lines()
-            .find(|l| l.contains("\"sync_wait_w0\""))
-            .expect("worker row");
-        assert!(w0.contains("\"calls\":4"));
-        assert!(w0.contains("\"total_ns\":1000"));
-        assert!(w0.contains("\"mean_ns\":250.0"));
-        assert_eq!(p.extra_rows().len(), 2);
     }
 }

@@ -1,22 +1,24 @@
-//! Determinism / equivalence tests for the parallel execution engine.
+//! Determinism tests: a fresh machine reproduces a run exactly.
 //!
-//! The multi-threaded engine (`MachineConfig::num_threads > 1`) promises
-//! bit-for-bit equivalence with the single-threaded simulator: identical
-//! cycle counts, identical final memory state, and an identical
-//! stats-counter tree, whatever the thread count. These tests pin that
-//! guarantee on the workloads the paper's tables are built from: the
-//! rank-64 update (Table 1 rows: every memory version at every cluster
-//! count) and a Perfect-benchmark code compiled through the Fortran
-//! pipeline.
+//! The simulator promises bit-for-bit repeatability: running the same
+//! programs on a freshly built machine with the same configuration gives
+//! identical cycle counts, identical final memory state, and an identical
+//! stats-counter tree. Host parallelism lives only at the sweep level
+//! (whole independent machines side by side), so this repeatability is
+//! exactly what makes sweep reports independent of the host thread
+//! count. These tests pin it on the workloads the paper's tables are
+//! built from: the rank-64 update (Table 1 rows: every memory version at
+//! every cluster count) and a Perfect-benchmark code compiled through
+//! the Fortran pipeline.
 //!
 //! The guarantee extends to fault injection: when `CEDAR_FAULT_SEED` is
 //! set (CI's faults leg), every workload here reruns with a transient
-//! fault plan at that seed, and the equivalence assertions then cover
+//! fault plan at that seed, and the repeatability assertions then cover
 //! the drop/NACK/retry machinery too — injected faults are part of the
-//! fingerprint, so they must land on the same packets at every thread
-//! count. The same mechanism covers journey tracing: CI's tracing leg
-//! sets `CEDAR_TRACE_SAMPLE_PPM`, and the `trace.*` stats keys then join
-//! the fingerprint.
+//! fingerprint, so they must land on the same packets in every run. The
+//! same mechanism covers journey tracing: CI's tracing leg sets
+//! `CEDAR_TRACE_SAMPLE_PPM`, and the `trace.*` stats keys then join the
+//! fingerprint.
 
 use cedar_fortran::compile::Backend;
 use cedar_fortran::restructure::{Level, Restructurer};
@@ -43,8 +45,8 @@ fn with_env_faults(cfg: MachineConfig) -> MachineConfig {
 
 /// CI's tracing leg: `CEDAR_TRACE_SAMPLE_PPM` (with `CEDAR_TRACE_SEED`)
 /// turns every determinism workload into a traced one. Sampled journeys
-/// land in the `trace.*` stats keys, so the equivalence assertions then
-/// cover the tracing layer's cross-thread merge too.
+/// land in the `trace.*` stats keys, so the repeatability assertions then
+/// cover the tracing layer too.
 fn with_env_knobs(cfg: MachineConfig) -> MachineConfig {
     let cfg = with_env_faults(cfg);
     match trace_plan_from_env().expect("CEDAR_TRACE_* must be valid") {
@@ -64,36 +66,37 @@ struct Fingerprint {
     stats: MachineStats,
 }
 
-/// Compare `got` (run on `threads` threads) against the single-threaded
-/// `base`, with a readable counter diff on mismatch.
-fn assert_equivalent(label: &str, threads: usize, base: &Fingerprint, got: &Fingerprint) {
+/// Compare a rerun's fingerprint `got` against the first run's `base`,
+/// with a readable counter diff on mismatch.
+fn assert_repeated(label: &str, base: &Fingerprint, got: &Fingerprint) {
     assert_eq!(
         base.cycles, got.cycles,
-        "{label}: {threads}-thread run took {} cycles, serial took {}",
+        "{label}: rerun took {} cycles, first run took {}",
         got.cycles, base.cycles
     );
     assert_eq!(
         base.memory, got.memory,
-        "{label}: {threads}-thread run left different memory state"
+        "{label}: rerun left different memory state"
     );
     if base.stats != got.stats {
-        let serial = flat_text(&base.stats);
-        let parallel = flat_text(&got.stats);
-        let diff: Vec<String> = serial
+        let first = flat_text(&base.stats);
+        let rerun = flat_text(&got.stats);
+        let diff: Vec<String> = first
             .lines()
-            .zip(parallel.lines())
+            .zip(rerun.lines())
             .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  serial:   {a}\n  {threads}-thread: {b}"))
+            .map(|(a, b)| format!("  first: {a}\n  rerun: {b}"))
             .collect();
         panic!(
-            "{label}: {threads}-thread stats tree differs from serial:\n{}",
+            "{label}: rerun stats tree differs from the first run:\n{}",
             diff.join("\n")
         );
     }
 }
 
-fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -> Fingerprint {
-    let cfg = with_env_knobs(MachineConfig::cedar_with_clusters(clusters).with_threads(threads));
+fn run_rank64(clusters: usize, fastfwd: bool, version: Rank64Version, n: u32) -> Fingerprint {
+    let cfg =
+        with_env_knobs(MachineConfig::cedar_with_clusters(clusters).with_fast_forward(fastfwd));
     let mut m = Machine::new(cfg).unwrap();
     let kern = Rank64 { n, k: 64, version };
     let progs = kern.build(&mut m, clusters);
@@ -105,96 +108,25 @@ fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -
     }
 }
 
-/// Like [`run_rank64`] with the lookahead-chunk length and fast-forward
-/// pinned through the config builder (not the environment, so these legs
-/// stay meaningful under CI's `CEDAR_CHUNK_CYCLES` matrix).
-fn run_rank64_chunked(
-    threads: usize,
-    chunk: usize,
-    fastfwd: bool,
-    version: Rank64Version,
-    n: u32,
-) -> Fingerprint {
-    let cfg = with_env_knobs(
-        MachineConfig::cedar_with_clusters(4)
-            .with_threads(threads)
-            .with_chunk_cycles(chunk)
-            .with_fast_forward(fastfwd),
-    );
-    let mut m = Machine::new(cfg).unwrap();
-    let kern = Rank64 { n, k: 64, version };
-    let progs = kern.build(&mut m, 4);
-    let r = m.run(progs, 1_000_000_000).unwrap();
-    Fingerprint {
-        cycles: r.cycles,
-        memory: m.memory_digest(),
-        stats: r.stats,
-    }
-}
-
-/// The lookahead-chunking guarantee: every chunk length — the per-cycle
-/// hatch (1), a mid-range cap (4), the automatic bound (0, which
-/// resolves to `service_cycles + 4` = 6 on a quiet Cedar), and an
-/// oversized cap the lookahead must clamp (64) — produces the serial
-/// fingerprint at every thread count, fast-forward on or off.
+/// The headline guarantee: the rank-64 kernel on the full machine
+/// reproduces on a fresh machine, with fast-forward on and off.
 #[test]
-fn chunk_lengths_are_deterministic() {
+fn rank64_is_deterministic() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
     for fastfwd in [true, false] {
-        let base = run_rank64_chunked(1, 0, fastfwd, version, 64);
+        let base = run_rank64(4, fastfwd, version, 64);
         assert!(base.cycles > 0);
-        for chunk in [1usize, 4, 0, 64] {
-            for threads in [2usize, 4, 8] {
-                let got = run_rank64_chunked(threads, chunk, fastfwd, version, 64);
-                assert_equivalent(
-                    &format!("rank64 chunk={chunk} fastfwd={fastfwd}"),
-                    threads,
-                    &base,
-                    &got,
-                );
-            }
-        }
+        let got = run_rank64(4, fastfwd, version, 64);
+        assert_repeated(
+            &format!("rank64 gm+prefetch fastfwd={fastfwd}"),
+            &base,
+            &got,
+        );
     }
 }
 
-/// The cache version keeps the network busier (misses and write-backs
-/// rather than regular prefetch bursts), so its chunk schedule collapses
-/// to one cycle far more often — a different interleaving of the chunked
-/// and per-cycle paths that must still be invisible.
-#[test]
-fn chunking_is_deterministic_under_cache_traffic() {
-    let version = Rank64Version::GmCache;
-    let base = run_rank64_chunked(1, 0, true, version, 64);
-    for chunk in [0usize, 4] {
-        for threads in [2usize, 4] {
-            let got = run_rank64_chunked(threads, chunk, true, version, 64);
-            assert_equivalent(
-                &format!("rank64 gm-cache chunk={chunk}"),
-                threads,
-                &base,
-                &got,
-            );
-        }
-    }
-}
-
-/// The headline guarantee: the rank-64 kernel on the full machine is
-/// bit-identical at 1, 2 and 4 threads.
-#[test]
-fn rank64_is_deterministic_across_thread_counts() {
-    let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = run_rank64(4, 1, version, 64);
-    assert!(base.cycles > 0);
-    for threads in [2, 4] {
-        let got = run_rank64(4, threads, version, 64);
-        assert_equivalent("rank64 gm+prefetch", threads, &base, &got);
-    }
-}
-
-/// Every Table 1 row (memory version × cluster count, at test scale)
-/// produces the same fingerprint under the parallel engine, including
-/// thread counts that split the clusters unevenly (3 threads over 4
-/// clusters → shards of 2/1/1).
+/// Every Table 1 row (memory version, at test scale) reproduces on a
+/// fresh machine, on the full machine and on a partial one.
 #[test]
 fn table1_rows_are_deterministic() {
     for version in [
@@ -203,36 +135,22 @@ fn table1_rows_are_deterministic() {
         Rank64Version::GmCache,
     ] {
         let label = format!("table1 {version:?} x4 clusters");
-        let base = run_rank64(4, 1, version, 64);
-        for threads in [2, 3, 4] {
-            let got = run_rank64(4, threads, version, 64);
-            assert_equivalent(&label, threads, &base, &got);
-        }
+        let base = run_rank64(4, true, version, 64);
+        let got = run_rank64(4, true, version, 64);
+        assert_repeated(&label, &base, &got);
     }
-    // A partial machine with an uneven shard split: 3 clusters over 2
-    // threads (shards of 2/1).
     let version = Rank64Version::GmCache;
-    let base = run_rank64(3, 1, version, 64);
-    let got = run_rank64(3, 2, version, 64);
-    assert_equivalent("table1 GmCache x3 clusters", 2, &base, &got);
+    let base = run_rank64(3, true, version, 64);
+    let got = run_rank64(3, true, version, 64);
+    assert_repeated("table1 GmCache x3 clusters", &base, &got);
 }
 
-/// Thread counts beyond the cluster count are capped, not an error: an
-/// 8-thread request on a 4-cluster machine behaves like 4 threads.
-#[test]
-fn excess_threads_are_capped_at_the_cluster_count() {
-    let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = run_rank64(4, 1, version, 32);
-    let got = run_rank64(4, 8, version, 32);
-    assert_equivalent("rank64 with excess threads", 8, &base, &got);
-}
-
-fn run_perfect(code: CodeName, threads: usize) -> Fingerprint {
+fn run_perfect(code: CodeName) -> Fingerprint {
     let clusters = 4;
     let src = spec(code).to_source();
     let compiled = Restructurer::default().restructure(&src, Level::Automatable);
     let backend = Backend::new(XylemCosts::cedar());
-    let cfg = with_env_knobs(MachineConfig::cedar_with_clusters(clusters).with_threads(threads));
+    let cfg = with_env_knobs(MachineConfig::cedar_with_clusters(clusters));
     let mut m = Machine::new(cfg).unwrap();
     let progs = backend.lower(&compiled, &mut m, clusters);
     let r = m.run(progs, 4_000_000_000).unwrap();
@@ -244,13 +162,11 @@ fn run_perfect(code: CodeName, threads: usize) -> Fingerprint {
 }
 
 /// A Perfect-benchmark code through the full Fortran pipeline (TRFD at
-/// the automatable level) is bit-identical at 1, 2 and 4 threads.
+/// the automatable level) reproduces on a fresh machine.
 #[test]
-fn perfect_trfd_is_deterministic_across_thread_counts() {
-    let base = run_perfect(CodeName::Trfd, 1);
+fn perfect_trfd_is_deterministic() {
+    let base = run_perfect(CodeName::Trfd);
     assert!(base.cycles > 0);
-    for threads in [2, 4] {
-        let got = run_perfect(CodeName::Trfd, threads);
-        assert_equivalent("perfect TRFD automatable", threads, &base, &got);
-    }
+    let got = run_perfect(CodeName::Trfd);
+    assert_repeated("perfect TRFD automatable", &base, &got);
 }

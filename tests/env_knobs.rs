@@ -5,11 +5,10 @@
 //! `CEDAR_SWEEP_THREADS` and `CEDAR_FAULT_SEED` end to end and cannot
 //! race other tests. It pins the error-handling split:
 //!
-//! * thread counts (`CEDAR_SWEEP_THREADS`, and `CEDAR_NUM_THREADS`
-//!   through the same parser) are *tuning* knobs — a garbage value logs
-//!   a warning and falls back to the configured default, because a bad
-//!   thread count should never abort a simulation whose results don't
-//!   depend on it;
+//! * the sweep thread count (`CEDAR_SWEEP_THREADS`) is a *tuning* knob —
+//!   a garbage value logs a warning and falls back to the host
+//!   parallelism, because a bad thread count should never abort a sweep
+//!   whose results don't depend on it;
 //! * `CEDAR_FAULT_SEED` *changes results* — a garbage value is a hard
 //!   `InvalidConfig` error, because silently running a different fault
 //!   plan than the one asked for is exactly what the deterministic
@@ -21,8 +20,7 @@
 
 use cedar::experiments::sweep::sweep_threads;
 use cedar_machine::config::{
-    checkpoint_every_from_env, checkpoint_path_from_env, chunk_cycles_from_env,
-    fault_seed_from_env, trace_plan_from_env,
+    checkpoint_every_from_env, checkpoint_path_from_env, fault_seed_from_env, trace_plan_from_env,
 };
 use cedar_machine::{MachineConfig, MachineError};
 
@@ -45,28 +43,6 @@ fn env_knobs_fall_back_or_fail_loudly() {
     }
     std::env::remove_var("CEDAR_SWEEP_THREADS");
     assert_eq!(sweep_threads(), host);
-
-    // --- CEDAR_CHUNK_CYCLES: lenient, warn-and-fall-back ---
-    // Chunk length is a tuning knob — the engine promises bit-identical
-    // results at every value, so garbage must never abort a run. 0 is a
-    // *legal* value (automatic lookahead), unlike the thread knobs.
-    std::env::remove_var("CEDAR_CHUNK_CYCLES");
-    assert_eq!(chunk_cycles_from_env(), None);
-    std::env::set_var("CEDAR_CHUNK_CYCLES", "0");
-    assert_eq!(chunk_cycles_from_env(), Some(0), "0 means automatic");
-    std::env::set_var("CEDAR_CHUNK_CYCLES", "1");
-    assert_eq!(chunk_cycles_from_env(), Some(1), "1 is the per-cycle hatch");
-    std::env::set_var("CEDAR_CHUNK_CYCLES", " 4 ");
-    assert_eq!(chunk_cycles_from_env(), Some(4), "whitespace is trimmed");
-    for garbage in ["auto", "-1", "1.5", ""] {
-        std::env::set_var("CEDAR_CHUNK_CYCLES", garbage);
-        assert_eq!(
-            chunk_cycles_from_env(),
-            None,
-            "CEDAR_CHUNK_CYCLES={garbage:?} must fall back to automatic"
-        );
-    }
-    std::env::remove_var("CEDAR_CHUNK_CYCLES");
 
     // --- CEDAR_FAULT_SEED: strict, error on garbage ---
     std::env::remove_var("CEDAR_FAULT_SEED");

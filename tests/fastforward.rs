@@ -5,8 +5,7 @@
 //! state, bulk-crediting them into the same counters a cycle-by-cycle run
 //! would have bumped. Its contract is *bit-for-bit* equivalence: the same
 //! cycle count, the same final memory digest and the same full stats tree
-//! as a run with skipping disabled — at every thread count. These tests
-//! pin that contract on the paper's Table 1 rows, on a Perfect code
+//! as a run with skipping disabled. These tests pin that contract on the paper's Table 1 rows, on a Perfect code
 //! through the Fortran pipeline, and on synthetic barrier-heavy programs
 //! built to maximize quiescent stretches.
 
@@ -84,11 +83,9 @@ fn fingerprint_run(
     }
 }
 
-fn run_rank64(version: Rank64Version, fast_forward: bool, threads: usize) -> Fingerprint {
+fn run_rank64(version: Rank64Version, fast_forward: bool) -> Fingerprint {
     let clusters = 4;
-    let cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
+    let cfg = MachineConfig::cedar_with_clusters(clusters).with_fast_forward(fast_forward);
     fingerprint_run(cfg, |m| {
         Rank64 {
             n: 64,
@@ -100,7 +97,7 @@ fn run_rank64(version: Rank64Version, fast_forward: bool, threads: usize) -> Fin
 }
 
 /// Every Table 1 memory version produces a bit-identical fingerprint with
-/// fast-forward on, serially and in the parallel engine.
+/// fast-forward on.
 #[test]
 fn table1_rows_match_with_fastforward_on() {
     for version in [
@@ -109,12 +106,10 @@ fn table1_rows_match_with_fastforward_on() {
         Rank64Version::GmCache,
     ] {
         let label = format!("table1 {version:?}");
-        let base = run_rank64(version, false, 1);
+        let base = run_rank64(version, false);
         assert_eq!(base.skipped, 0, "{label}: baseline must not skip");
-        for threads in [1, 2, 4] {
-            let got = run_rank64(version, true, threads);
-            assert_equivalent(&format!("{label} x{threads} threads"), &base, &got);
-        }
+        let got = run_rank64(version, true);
+        assert_equivalent(&label, &base, &got);
     }
 }
 
@@ -153,30 +148,26 @@ fn barrier_storm(m: &mut Machine, rounds: u32, work: u32) -> Vec<(CeId, Program)
     progs
 }
 
-fn run_barrier_storm(fast_forward: bool, threads: usize) -> Fingerprint {
-    let cfg = MachineConfig::cedar()
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
+fn run_barrier_storm(fast_forward: bool) -> Fingerprint {
+    let cfg = MachineConfig::cedar().with_fast_forward(fast_forward);
     fingerprint_run(cfg, |m| barrier_storm(m, 20, 4_000))
 }
 
-/// The barrier storm is bit-identical with fast-forward on at 1, 2 and 4
-/// threads — and the skip counter confirms the fast path actually ran.
+/// The barrier storm is bit-identical with fast-forward on — and the
+/// skip counter confirms the fast path actually ran.
 #[test]
 fn barrier_storm_matches_and_actually_skips() {
-    let base = run_barrier_storm(false, 1);
+    let base = run_barrier_storm(false);
     assert_eq!(base.skipped, 0);
-    for threads in [1, 2, 4] {
-        let got = run_barrier_storm(true, threads);
-        assert_equivalent(&format!("barrier storm x{threads} threads"), &base, &got);
-        if skipping_possible() {
-            assert!(
-                got.skipped > base.cycles / 2,
-                "barrier storm should be mostly skippable: skipped {} of {} cycles",
-                got.skipped,
-                base.cycles
-            );
-        }
+    let got = run_barrier_storm(true);
+    assert_equivalent("barrier storm", &base, &got);
+    if skipping_possible() {
+        assert!(
+            got.skipped > base.cycles / 2,
+            "barrier storm should be mostly skippable: skipped {} of {} cycles",
+            got.skipped,
+            base.cycles
+        );
     }
 }
 
@@ -213,26 +204,21 @@ fn global_barrier_imbalance_matches() {
     }
 }
 
-fn run_perfect(fast_forward: bool, threads: usize) -> Fingerprint {
+fn run_perfect(fast_forward: bool) -> Fingerprint {
     let clusters = 4;
     let src = spec(CodeName::Trfd).to_source();
     let compiled = Restructurer::default().restructure(&src, Level::Automatable);
     let backend = Backend::new(XylemCosts::cedar());
-    let cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
+    let cfg = MachineConfig::cedar_with_clusters(clusters).with_fast_forward(fast_forward);
     fingerprint_run(cfg, |m| backend.lower(&compiled, m, clusters))
 }
 
 /// A Perfect-benchmark code through the full Fortran pipeline: the
-/// fingerprint with fast-forward on equals the unskipped baseline at 1, 2
-/// and 4 threads.
+/// fingerprint with fast-forward on equals the unskipped baseline.
 #[test]
-fn perfect_trfd_matches_across_thread_counts() {
-    let base = run_perfect(false, 1);
+fn perfect_trfd_matches_with_fastforward_on() {
+    let base = run_perfect(false);
     assert!(base.cycles > 0);
-    for threads in [1, 2, 4] {
-        let got = run_perfect(true, threads);
-        assert_equivalent(&format!("perfect TRFD x{threads} threads"), &base, &got);
-    }
+    let got = run_perfect(true);
+    assert_equivalent("perfect TRFD", &base, &got);
 }

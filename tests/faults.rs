@@ -6,9 +6,9 @@
 //!    leave every fingerprint — cycles, memory digest, the full stats
 //!    registry — byte-identical to a run with no plan at all.
 //! 2. **Enabled faults are deterministic.** A fixed plan produces
-//!    bit-identical fingerprints whatever the thread count and whether
-//!    the event-horizon fast-forward is on or off; the injected drops
-//!    are a function of the plan, not of the host.
+//!    bit-identical fingerprints whether the event-horizon fast-forward
+//!    is on or off; the injected drops are a function of the plan, not
+//!    of the host.
 //! 3. **Recovery is complete.** Every doomed packet is eventually
 //!    retried to completion (run finishes, controllers drained, packet
 //!    conservation holds at quiesce, final memory state matches the
@@ -99,31 +99,25 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
-/// The tentpole determinism guarantee: one fixed faulty plan, six host
-/// configurations (1/2/4 threads × fast-forward on/off), one
-/// fingerprint. The drops and NACKs land on exactly the same packets
-/// everywhere because every decision hashes `(seed, site, sequence)`,
-/// never host state.
+/// The tentpole determinism guarantee: one fixed faulty plan, fast-forward
+/// on and off, one fingerprint. The drops and NACKs land on exactly the
+/// same packets both ways because every decision hashes
+/// `(seed, site, sequence)`, never host state.
 #[test]
-fn faulty_plan_is_deterministic_across_threads_and_fastforward() {
+fn faulty_plan_is_deterministic_across_fastforward() {
     let mut base: Option<Fingerprint> = None;
-    for threads in [1usize, 2, 4] {
-        for fastfwd in [true, false] {
-            let cfg = MachineConfig::cedar_with_clusters(4)
-                .with_threads(threads)
-                .with_fast_forward(fastfwd)
-                .with_faults(faulty_plan());
-            let got = run_rank64(cfg, 64).unwrap();
-            assert!(
-                got.stats.counter("net.fwd.drops") > 0,
-                "the plan was meant to actually drop packets"
-            );
-            match &base {
-                None => base = Some(got),
-                Some(b) => {
-                    assert_identical(&format!("{threads} threads, fastfwd={fastfwd}"), b, &got)
-                }
-            }
+    for fastfwd in [true, false] {
+        let cfg = MachineConfig::cedar_with_clusters(4)
+            .with_fast_forward(fastfwd)
+            .with_faults(faulty_plan());
+        let got = run_rank64(cfg, 64).unwrap();
+        assert!(
+            got.stats.counter("net.fwd.drops") > 0,
+            "the plan was meant to actually drop packets"
+        );
+        match &base {
+            None => base = Some(got),
+            Some(b) => assert_identical(&format!("fastfwd={fastfwd}"), b, &got),
         }
     }
 }
@@ -188,46 +182,6 @@ fn scheduled_outages_are_survivable_and_counted() {
         fp.stats.counter("fault.retries") + fp.stats.counter("prefetch.retries") > 0,
         "surviving the outage should have taken at least one retry"
     );
-}
-
-/// The link-outage path through the *parallel* engine: a downed port's
-/// refused injections are charged to `net.fwd.link_blocked` at the
-/// staging buffer (the serial `try_inject` checks the outage before
-/// capacity and charges per attempt), so the counter — and everything
-/// downstream of the stalled CE — must match the serial run exactly at
-/// every thread count and chunk length.
-#[test]
-fn link_outages_are_deterministic_across_threads_and_chunking() {
-    let plan = || FaultPlan {
-        link_outages: vec![LinkOutage {
-            port: 0,
-            from: 500,
-            until: 2_500,
-        }],
-        ..FaultPlan::none(7)
-    };
-    let base = run_rank64(
-        MachineConfig::cedar_with_clusters(2).with_faults(plan()),
-        64,
-    )
-    .unwrap();
-    assert!(
-        base.stats.counter("net.fwd.link_blocked") > 0,
-        "the downed port should have refused at least one injection"
-    );
-    for threads in [2usize, 4] {
-        for chunk in [0usize, 1, 4] {
-            let got = run_rank64(
-                MachineConfig::cedar_with_clusters(2)
-                    .with_threads(threads)
-                    .with_chunk_cycles(chunk)
-                    .with_faults(plan()),
-                64,
-            )
-            .unwrap();
-            assert_identical(&format!("{threads} threads, chunk={chunk}"), &base, &got);
-        }
-    }
 }
 
 /// A module that never comes back exhausts the bounded retries and

@@ -10,8 +10,8 @@
 //! `CEDAR_NO_FLOWPATH` escape hatch): the same cycle count, the same
 //! memory digest, the same full stats registry — including the `net.*`
 //! counter and histogram trees, per-stage conflict/blocked vectors and
-//! queue-depth bins — at every thread count, with fast-forward on or
-//! off, under fault injection, and under journey tracing.
+//! queue-depth bins — with fast-forward on or off, under fault
+//! injection, and under journey tracing.
 //!
 //! These tests pin that contract on the paper's Table 1 rows and on a
 //! synthetic full-stall scenario that proves the replay path actually
@@ -81,13 +81,11 @@ fn fingerprint_rank64(
     version: Rank64Version,
     flow: bool,
     fast_forward: bool,
-    threads: usize,
     faults: Option<FaultPlan>,
     trace: Option<TracePlan>,
 ) -> Fingerprint {
     let clusters = 4;
     let mut cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
         .with_fast_forward(fast_forward)
         .with_flow_path(flow);
     if let Some(plan) = faults {
@@ -113,8 +111,8 @@ fn fingerprint_rank64(
 }
 
 /// Every Table 1 memory version produces a bit-identical fingerprint with
-/// the flow path on — serially and in the parallel engine, with the
-/// event-horizon fast-forward on and off (the two fast paths compose).
+/// the flow path on, with the event-horizon fast-forward on and off (the
+/// two fast paths compose).
 #[test]
 fn table1_rows_match_with_flow_path_on() {
     for version in [
@@ -123,17 +121,15 @@ fn table1_rows_match_with_flow_path_on() {
         Rank64Version::GmCache,
     ] {
         let label = format!("table1 {version:?}");
-        let base = fingerprint_rank64(version, false, false, 1, None, None);
+        let base = fingerprint_rank64(version, false, false, None, None);
         assert_eq!(base.replays, 0, "{label}: oracle must not replay");
-        for threads in [1, 4] {
-            for fast_forward in [false, true] {
-                let got = fingerprint_rank64(version, true, fast_forward, threads, None, None);
-                assert_equivalent(
-                    &format!("{label} x{threads} threads, fast-forward {fast_forward}"),
-                    &base,
-                    &got,
-                );
-            }
+        for fast_forward in [false, true] {
+            let got = fingerprint_rank64(version, true, fast_forward, None, None);
+            assert_equivalent(
+                &format!("{label}, fast-forward {fast_forward}"),
+                &base,
+                &got,
+            );
         }
     }
 }
@@ -149,11 +145,9 @@ fn flow_path_matches_oracle_under_fault_injection() {
         ..FaultPlan::none(0xCEDA)
     };
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = fingerprint_rank64(version, false, true, 1, Some(plan.clone()), None);
-    for threads in [1, 4] {
-        let got = fingerprint_rank64(version, true, true, threads, Some(plan.clone()), None);
-        assert_equivalent(&format!("faulty rank64 x{threads} threads"), &base, &got);
-    }
+    let base = fingerprint_rank64(version, false, true, Some(plan.clone()), None);
+    let got = fingerprint_rank64(version, true, true, Some(plan), None);
+    assert_equivalent("faulty rank64", &base, &got);
 }
 
 /// The equivalence survives journey tracing at CI's sampling rate and at
@@ -168,15 +162,9 @@ fn flow_path_matches_oracle_under_tracing() {
             seed: 0xCEDA,
             sample_ppm,
         };
-        let base = fingerprint_rank64(version, false, true, 1, None, Some(plan));
-        for threads in [1, 4] {
-            let got = fingerprint_rank64(version, true, true, threads, None, Some(plan));
-            assert_equivalent(
-                &format!("traced rank64 ppm={sample_ppm} x{threads} threads"),
-                &base,
-                &got,
-            );
-        }
+        let base = fingerprint_rank64(version, false, true, None, Some(plan));
+        let got = fingerprint_rank64(version, true, true, None, Some(plan));
+        assert_equivalent(&format!("traced rank64 ppm={sample_ppm}"), &base, &got);
     }
 }
 

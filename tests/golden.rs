@@ -2,8 +2,9 @@
 //!
 //! Canonical outputs live under `tests/golden/`; each test regenerates
 //! its table at a debug-affordable scale and diffs against the snapshot.
-//! Because the simulator is deterministic — including under the parallel
-//! engine (`CEDAR_NUM_THREADS`) — any drift is a real behaviour change.
+//! Because the simulator is deterministic — and the sweep runner
+//! assembles results in input order whatever `CEDAR_SWEEP_THREADS` says —
+//! any drift is a real behaviour change.
 //! To bless intentional changes:
 //!
 //! ```text

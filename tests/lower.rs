@@ -11,8 +11,8 @@
 //! interpreter (kept verbatim behind the `CEDAR_NO_LOWER` escape
 //! hatch): the same cycle count, the same memory digest, the same full
 //! stats registry — attribution vectors, histograms, journey stamps —
-//! at every thread count, with fast-forward and the flow path on or
-//! off, under fault injection, and under journey tracing.
+//! with fast-forward and the flow path on or off, under fault
+//! injection, and under journey tracing.
 //!
 //! These tests pin that contract on the paper's Table 1 rows and on a
 //! Perfect-benchmark code through the full Fortran pipeline. The
@@ -76,19 +76,16 @@ fn assert_equivalent(label: &str, base: &Fingerprint, got: &Fingerprint) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fingerprint_rank64(
     version: Rank64Version,
     lowered: bool,
     fast_forward: bool,
     flow: bool,
-    threads: usize,
     faults: Option<FaultPlan>,
     trace: Option<TracePlan>,
 ) -> Fingerprint {
     let clusters = 4;
     let mut cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
         .with_fast_forward(fast_forward)
         .with_flow_path(flow)
         .with_lowered(lowered);
@@ -115,9 +112,9 @@ fn fingerprint_rank64(
 }
 
 /// Every Table 1 memory version produces a bit-identical fingerprint
-/// with lowering on — serially and in the parallel engine, with the
-/// event-horizon fast-forward on and off, and with the network flow
-/// path on and off (all three fast paths compose).
+/// with lowering on, with the event-horizon fast-forward on and off,
+/// and with the network flow path on and off (all three fast paths
+/// compose).
 #[test]
 fn table1_rows_match_with_lowering_on() {
     for version in [
@@ -126,22 +123,19 @@ fn table1_rows_match_with_lowering_on() {
         Rank64Version::GmCache,
     ] {
         let label = format!("table1 {version:?}");
-        let base = fingerprint_rank64(version, false, false, true, 1, None, None);
+        let base = fingerprint_rank64(version, false, false, true, None, None);
         assert!(!base.lowered, "{label}: baseline must interpret");
-        for threads in [1, 4] {
-            for fast_forward in [false, true] {
-                let got =
-                    fingerprint_rank64(version, true, fast_forward, true, threads, None, None);
-                assert_equivalent(
-                    &format!("{label} x{threads} threads, fast-forward {fast_forward}"),
-                    &base,
-                    &got,
-                );
-            }
+        for fast_forward in [false, true] {
+            let got = fingerprint_rank64(version, true, fast_forward, true, None, None);
+            assert_equivalent(
+                &format!("{label}, fast-forward {fast_forward}"),
+                &base,
+                &got,
+            );
         }
         // One leg against the per-flit network oracle, so the flat
         // streams compose with the slow network sweep too.
-        let got = fingerprint_rank64(version, true, true, false, 1, None, None);
+        let got = fingerprint_rank64(version, true, true, false, None, None);
         assert_equivalent(&format!("{label} per-flit network"), &base, &got);
     }
 }
@@ -156,10 +150,8 @@ fn perfect_trfd_matches_with_lowering_on() {
     let src = spec(CodeName::Trfd).to_source();
     let compiled = Restructurer::default().restructure(&src, Level::Automatable);
     let backend = Backend::new(XylemCosts::cedar());
-    let run = |lowered: bool, threads: usize| {
-        let cfg = MachineConfig::cedar_with_clusters(clusters)
-            .with_threads(threads)
-            .with_lowered(lowered);
+    let run = |lowered: bool| {
+        let cfg = MachineConfig::cedar_with_clusters(clusters).with_lowered(lowered);
         let mut m = Machine::new(cfg).unwrap();
         let progs = backend.lower(&compiled, &mut m, clusters);
         let r = m.run(progs, LIMIT).unwrap();
@@ -170,12 +162,10 @@ fn perfect_trfd_matches_with_lowering_on() {
             lowered: m.lowered_enabled(),
         }
     };
-    let base = run(false, 1);
+    let base = run(false);
     assert!(base.cycles > 0);
-    for threads in [1, 4] {
-        let got = run(true, threads);
-        assert_equivalent(&format!("perfect TRFD x{threads} threads"), &base, &got);
-    }
+    let got = run(true);
+    assert_equivalent("perfect TRFD", &base, &got);
 }
 
 /// The equivalence survives fault injection: drops and NACKs replay the
@@ -189,11 +179,9 @@ fn lowering_matches_interpreter_under_fault_injection() {
         ..FaultPlan::none(0xCEDA)
     };
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = fingerprint_rank64(version, false, true, true, 1, Some(plan.clone()), None);
-    for threads in [1, 4] {
-        let got = fingerprint_rank64(version, true, true, true, threads, Some(plan.clone()), None);
-        assert_equivalent(&format!("faulty rank64 x{threads} threads"), &base, &got);
-    }
+    let base = fingerprint_rank64(version, false, true, true, Some(plan.clone()), None);
+    let got = fingerprint_rank64(version, true, true, true, Some(plan), None);
+    assert_equivalent("faulty rank64", &base, &got);
 }
 
 /// The equivalence survives journey tracing at CI's sampling rate and
@@ -208,15 +196,9 @@ fn lowering_matches_interpreter_under_tracing() {
             seed: 0xCEDA,
             sample_ppm,
         };
-        let base = fingerprint_rank64(version, false, true, true, 1, None, Some(plan));
-        for threads in [1, 4] {
-            let got = fingerprint_rank64(version, true, true, true, threads, None, Some(plan));
-            assert_equivalent(
-                &format!("traced rank64 ppm={sample_ppm} x{threads} threads"),
-                &base,
-                &got,
-            );
-        }
+        let base = fingerprint_rank64(version, false, true, true, None, Some(plan));
+        let got = fingerprint_rank64(version, true, true, true, None, Some(plan));
+        assert_equivalent(&format!("traced rank64 ppm={sample_ppm}"), &base, &got);
     }
 }
 
@@ -272,7 +254,7 @@ fn journey_hop_stamps_survive_bulk_timing() {
 #[test]
 fn dense_kernel_actually_lowers_and_fuses() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let got = fingerprint_rank64(version, true, true, true, 1, None, None);
+    let got = fingerprint_rank64(version, true, true, true, None, None);
     if !lowering_possible() {
         assert!(!got.lowered, "CEDAR_NO_LOWER must force the interpreter");
         return;

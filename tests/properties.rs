@@ -385,9 +385,8 @@ proptest! {
 
     /// Conservation laws of the instrumentation layer hold for the
     /// rank-64 kernel on the full 32-CE machine, whatever the memory
-    /// version, problem size, and — since the parallel engine promises
-    /// bit-identical execution — simulation thread count: counters from
-    /// every subsystem must account for each other exactly.
+    /// version and problem size: counters from every subsystem must
+    /// account for each other exactly.
     #[test]
     fn stats_conservation_laws_hold_for_rank64(
         version in prop::sample::select(vec![
@@ -396,12 +395,10 @@ proptest! {
             Rank64Version::GmCache,
         ]),
         n in prop::sample::select(vec![32u32, 64]),
-        threads in prop::sample::select(vec![1usize, 2, 4]),
     ) {
         let clusters = 4;
-        let mut m = Machine::new(
-            cedar_machine::MachineConfig::cedar_with_clusters(clusters).with_threads(threads),
-        ).unwrap();
+        let mut m =
+            Machine::new(cedar_machine::MachineConfig::cedar_with_clusters(clusters)).unwrap();
         let kern = Rank64 { n, k: 64, version };
         let progs = kern.build(&mut m, clusters);
         let r = m.run(progs, 1_000_000_000).unwrap();
@@ -638,17 +635,8 @@ fn emit_random_ops(b: &mut ProgramBuilder, rng: &mut SplitMix, depth: u32, count
 /// One full-machine run of a seeded random program mix: every CE gets
 /// its own generated program, all CEs meet at one global barrier at the
 /// end, and self-scheduled loops share two global counters across CEs.
-fn run_random_programs(seed: u64, lowered: bool, threads: usize) -> (u64, u64, String, bool) {
-    let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
-        .with_threads(threads)
-        .with_lowered(lowered);
-    run_random_programs_on(seed, cfg)
-}
-
-fn run_random_programs_on(
-    seed: u64,
-    cfg: cedar_machine::MachineConfig,
-) -> (u64, u64, String, bool) {
+fn run_random_programs(seed: u64, lowered: bool) -> (u64, u64, String, bool) {
+    let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2).with_lowered(lowered);
     let mut m = Machine::new(cfg).unwrap();
     let total = m.config().total_ces();
     let counters = [
@@ -681,18 +669,12 @@ proptest! {
     /// The lowering pipeline is byte-identical to the tree-walking
     /// interpreter on arbitrary generated programs — every `Op`
     /// variant, loop shapes past the collapse bound, shared
-    /// self-scheduling counters, a global barrier — across thread
-    /// counts: same cycle count, same memory digest, same flattened
-    /// stats registry.
+    /// self-scheduling counters, a global barrier: same cycle count,
+    /// same memory digest, same flattened stats registry.
     #[test]
-    fn lowering_is_bit_identical_to_the_interpreter(
-        seed in 0u64..100_000,
-        threads in prop::sample::select(vec![1usize, 4]),
-    ) {
-        let (base_cycles, base_digest, base_stats, _) =
-            run_random_programs(seed, false, 1);
-        let (flat_cycles, flat_digest, flat_stats, _) =
-            run_random_programs(seed, true, threads);
+    fn lowering_is_bit_identical_to_the_interpreter(seed in 0u64..100_000) {
+        let (base_cycles, base_digest, base_stats, _) = run_random_programs(seed, false);
+        let (flat_cycles, flat_digest, flat_stats, _) = run_random_programs(seed, true);
         prop_assert_eq!(base_cycles, flat_cycles, "cycle count drifted");
         prop_assert_eq!(base_digest, flat_digest, "memory digest drifted");
         if base_stats != flat_stats {
@@ -703,37 +685,6 @@ proptest! {
                 .map(|(a, b)| format!("  interpreter: {a}\n  lowered:     {b}"))
                 .collect();
             prop_assert!(false, "stats drifted:\n{}", diff.join("\n"));
-        }
-    }
-
-    /// Lookahead-chunked partitioned execution is bit-identical to the
-    /// serial engine on arbitrary generated traffic — sync ops,
-    /// gathers/scatters, prefetch bursts, shared self-scheduling
-    /// counters, a global barrier — at every chunk length: the
-    /// automatic horizon (0), the per-cycle hatch (1), a mid-range cap
-    /// (4) and an oversized one the lookahead must clamp (64).
-    #[test]
-    fn chunked_execution_is_bit_identical_to_serial(
-        seed in 0u64..100_000,
-        chunk in prop::sample::select(vec![0usize, 1, 4, 64]),
-    ) {
-        let (base_cycles, base_digest, base_stats, _) =
-            run_random_programs(seed, true, 1);
-        let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
-            .with_threads(2)
-            .with_lowered(true)
-            .with_chunk_cycles(chunk);
-        let (cycles, digest, stats, _) = run_random_programs_on(seed, cfg);
-        prop_assert_eq!(base_cycles, cycles, "cycle count drifted at chunk={}", chunk);
-        prop_assert_eq!(base_digest, digest, "memory digest drifted at chunk={}", chunk);
-        if base_stats != stats {
-            let diff: Vec<String> = base_stats
-                .lines()
-                .zip(stats.lines())
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| format!("  serial:  {a}\n  chunked: {b}"))
-                .collect();
-            prop_assert!(false, "stats drifted at chunk={}:\n{}", chunk, diff.join("\n"));
         }
     }
 }

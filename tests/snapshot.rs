@@ -5,9 +5,9 @@
 //! produces the *bit-identical* report — cycle count, memory digest and
 //! full stats tree — of the uninterrupted run. These tests kill runs at
 //! adversarial points (mid outage window, under fault retries, under
-//! journey tracing, mid lookahead chunk) across the full engine matrix:
-//! serial and parallel, every chunk length class, fast-forward on and
-//! off, tree-walking and lowered execution, and the Fortran pipeline.
+//! journey tracing) across the engine paths: fast-forward on and off,
+//! the flow-level network path and its per-flit oracle, tree-walking and
+//! lowered execution, and the Fortran pipeline.
 //!
 //! The second half pins the failure envelope: torn, truncated,
 //! corrupted, foreign and future-versioned images — and images restored
@@ -176,72 +176,48 @@ fn serial_kill_and_resume_is_bit_identical() {
     }
 }
 
-/// Parallel engine: checkpoints are taken at chunk-exchange boundaries
-/// only, so every chunk length class — per-cycle hatch (1), mid-range
-/// cap (4), automatic horizon (0) and an oversized cap the lookahead
-/// clamps (64) — must kill and resume to the serial fingerprint, with
-/// fast-forward on and off, the flow-level network fast path on and
-/// off, and across memory versions.
+/// Every engine path kills and resumes to the uninterrupted fingerprint:
+/// fast-forward on and off, the flow-level network fast path on and off,
+/// across memory versions.
 #[test]
-fn parallel_kill_and_resume_matches_serial_across_chunk_lengths() {
-    let cases: [(usize, usize, bool, bool, Rank64Version); 4] = [
-        (
-            4,
-            0,
-            true,
-            true,
-            Rank64Version::GmPrefetch { block_words: 32 },
-        ),
-        (4, 4, false, true, Rank64Version::GmCache),
-        (2, 64, true, false, Rank64Version::GmNoPrefetch),
-        (3, 1, true, false, Rank64Version::GmCache),
+fn kill_and_resume_is_bit_identical_across_fastforward_and_flow_path() {
+    let cases: [(bool, bool, Rank64Version); 4] = [
+        (true, true, Rank64Version::GmPrefetch { block_words: 32 }),
+        (false, true, Rank64Version::GmCache),
+        (true, false, Rank64Version::GmNoPrefetch),
+        (true, false, Rank64Version::GmCache),
     ];
-    for (threads, chunk, fastfwd, flow, version) in cases {
+    for (fastfwd, flow, version) in cases {
         let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_chunk_cycles(chunk)
             .with_fast_forward(fastfwd)
             .with_flow_path(flow);
-        let base = uninterrupted(&cfg.clone().with_threads(1), 4, version);
+        let base = uninterrupted(&cfg, 4, version);
         let t = base.cycles;
-        let label = format!("parallel t={threads} chunk={chunk} fastfwd={fastfwd} flow={flow}");
-        let snap = SnapFile::new(&format!("par-{threads}-{chunk}-{fastfwd}-{flow}"));
-        let got = kill_then_resume(
-            &label,
-            &cfg.with_threads(threads),
-            4,
-            version,
-            t / 5,
-            2 * t / 3,
-            &snap,
-        );
+        let label = format!("{version:?} fastfwd={fastfwd} flow={flow}");
+        let snap = SnapFile::new(&format!("path-{fastfwd}-{flow}-{version:?}"));
+        let got = kill_then_resume(&label, &cfg, 4, version, t / 5, 2 * t / 3, &snap);
         assert_identical(&label, &base, &got);
     }
 }
 
 /// Lowered execution: the micro-op streams, lowering cache and program
-/// metadata all survive the round trip, serially and chunked.
+/// metadata all survive the round trip.
 #[test]
 fn lowered_kill_and_resume_is_bit_identical() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    for threads in [1usize, 4] {
-        let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_lowered(true)
-            .with_threads(threads);
-        let base = uninterrupted(&cfg, 4, version);
-        let t = base.cycles;
-        let label = format!("lowered t={threads}");
-        let snap = SnapFile::new(&format!("low-{threads}"));
-        let got = kill_then_resume(&label, &cfg, 4, version, t / 6, t / 2, &snap);
-        assert_identical(&label, &base, &got);
-    }
+    let cfg = MachineConfig::cedar_with_clusters(4).with_lowered(true);
+    let base = uninterrupted(&cfg, 4, version);
+    let t = base.cycles;
+    let snap = SnapFile::new("low");
+    let got = kill_then_resume("lowered", &cfg, 4, version, t / 6, t / 2, &snap);
+    assert_identical("lowered", &base, &got);
 }
 
 /// The adversarial kill: fault injection with drop/NACK rates plus a
 /// link outage and a module outage, and journey tracing sampling — the
 /// run is killed *inside* the outage window, so the restored image holds
 /// in-flight retries, an offline module, a partially filled trace store
-/// and open journey spans. Resume must still be bit-identical, serially
-/// and in parallel.
+/// and open journey spans. Resume must still be bit-identical.
 #[test]
 fn kill_inside_an_outage_window_under_tracing_resumes_identically() {
     let version = Rank64Version::GmCache;
@@ -267,23 +243,20 @@ fn kill_inside_an_outage_window_under_tracing_resumes_identically() {
         seed: 11,
         sample_ppm: 250_000,
     };
-    for threads in [1usize, 4] {
-        let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_threads(threads)
-            .with_faults(plan.clone())
-            .with_trace(trace);
-        let base = uninterrupted(&cfg, 4, version);
-        let t = base.cycles;
-        // Kill mid-window, checkpointing often enough that the restored
-        // image was taken inside the window too.
-        let kill_at = (from + until) / 2;
-        assert!(kill_at < t, "outage window fell past the faulty run's end");
-        let every = ((until - from) / 8).max(1);
-        let label = format!("faults+trace t={threads} kill@{kill_at} in [{from},{until})");
-        let snap = SnapFile::new(&format!("fault-{threads}"));
-        let got = kill_then_resume(&label, &cfg, 4, version, every, kill_at, &snap);
-        assert_identical(&label, &base, &got);
-    }
+    let cfg = MachineConfig::cedar_with_clusters(4)
+        .with_faults(plan)
+        .with_trace(trace);
+    let base = uninterrupted(&cfg, 4, version);
+    let t = base.cycles;
+    // Kill mid-window, checkpointing often enough that the restored
+    // image was taken inside the window too.
+    let kill_at = (from + until) / 2;
+    assert!(kill_at < t, "outage window fell past the faulty run's end");
+    let every = ((until - from) / 8).max(1);
+    let label = format!("faults+trace kill@{kill_at} in [{from},{until})");
+    let snap = SnapFile::new("fault");
+    let got = kill_then_resume(&label, &cfg, 4, version, every, kill_at, &snap);
+    assert_identical(&label, &base, &got);
 }
 
 /// The full Fortran pipeline (Perfect TRFD restructured at the

@@ -4,9 +4,9 @@
 //! The tracing layer promises (TracePlan docs):
 //!
 //! 1. with tracing ON, the sampled journey set, every event stamp, and
-//!    every derived report are bit-identical across thread counts AND
-//!    fast-forward on/off — sampling decisions are counter-based, never
-//!    drawn from execution order;
+//!    every derived report are bit-identical with fast-forward on and
+//!    off — sampling decisions are counter-based, never drawn from
+//!    execution order;
 //! 2. with tracing OFF, the machine's observable output (cycles, memory
 //!    digest, stats registry) is byte-identical to a build that never
 //!    heard of tracing — no `trace.*` key is ever emitted;
@@ -36,15 +36,9 @@ struct Traced {
     machine: Machine,
 }
 
-fn run(
-    version: Rank64Version,
-    threads: usize,
-    fast_forward: bool,
-    plan: Option<TracePlan>,
-) -> Traced {
+fn run(version: Rank64Version, fast_forward: bool, plan: Option<TracePlan>) -> Traced {
     let clusters = 4;
-    let mut cfg = MachineConfig::cedar_with_clusters(clusters).with_threads(threads);
-    cfg.fast_forward = fast_forward;
+    let mut cfg = MachineConfig::cedar_with_clusters(clusters).with_fast_forward(fast_forward);
     if let Some(p) = plan {
         cfg = cfg.with_trace(p);
     }
@@ -67,37 +61,28 @@ fn run(
 }
 
 /// Promise 1: the traced run's complete output — including the raw event
-/// stream — is bit-identical at 1/2/4 threads, with fast-forward on and
-/// off. This also exercises the parallel engine's shard-trace merge on
-/// real traffic.
+/// stream — is bit-identical with fast-forward on and off.
 #[test]
-fn traced_runs_are_bit_identical_across_threads_and_fastforward() {
+fn traced_runs_are_bit_identical_across_fastforward() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = run(version, 1, true, Some(PLAN));
+    let base = run(version, true, Some(PLAN));
     assert!(base.cycles > 0);
     assert!(
         !base.events.is_empty(),
         "a 25% sampling rate must catch journeys on this workload"
     );
     assert_eq!(base.dropped, 0, "test workload must fit the trace buffers");
-    for (threads, fast_forward) in [(2, true), (4, true), (1, false), (4, false)] {
-        let got = run(version, threads, fast_forward, Some(PLAN));
-        let label = format!("{threads} threads, fast-forward {fast_forward}");
-        assert_eq!(base.cycles, got.cycles, "{label}: cycle count drifted");
-        assert_eq!(base.memory, got.memory, "{label}: memory state drifted");
-        assert_eq!(base.stats, got.stats, "{label}: stats registry drifted");
-        assert_eq!(base.dropped, got.dropped, "{label}: drop count drifted");
-        assert_eq!(
-            base.events.len(),
-            got.events.len(),
-            "{label}: event count drifted"
+    let got = run(version, false, Some(PLAN));
+    assert_eq!(base.cycles, got.cycles, "cycle count drifted");
+    assert_eq!(base.memory, got.memory, "memory state drifted");
+    assert_eq!(base.stats, got.stats, "stats registry drifted");
+    assert_eq!(base.dropped, got.dropped, "drop count drifted");
+    assert_eq!(base.events.len(), got.events.len(), "event count drifted");
+    if let Some(i) = (0..base.events.len()).find(|&i| base.events[i] != got.events[i]) {
+        panic!(
+            "trace stream diverges at event {i}:\n  fast-forward on:  {:?}\n  fast-forward off: {:?}",
+            base.events[i], got.events[i]
         );
-        if let Some(i) = (0..base.events.len()).find(|&i| base.events[i] != got.events[i]) {
-            panic!(
-                "{label}: trace stream diverges at event {i}:\n  serial: {:?}\n  other:  {:?}",
-                base.events[i], got.events[i]
-            );
-        }
     }
 }
 
@@ -107,10 +92,9 @@ fn traced_runs_are_bit_identical_across_threads_and_fastforward() {
 #[test]
 fn tracing_off_is_byte_identical_and_on_is_read_only() {
     let version = Rank64Version::GmCache;
-    let untraced = run(version, 1, true, None);
+    let untraced = run(version, true, None);
     let zero_rate = run(
         version,
-        1,
         true,
         Some(TracePlan {
             seed: 7,
@@ -126,7 +110,7 @@ fn tracing_off_is_byte_identical_and_on_is_read_only() {
     );
     assert!(zero_rate.events.is_empty());
 
-    let traced = run(version, 1, true, Some(PLAN));
+    let traced = run(version, true, Some(PLAN));
     assert_eq!(
         untraced.cycles, traced.cycles,
         "tracing changed the simulation"
@@ -173,7 +157,6 @@ fn breakdown_reproduces_module_service_time_on_a_table1_row() {
     // per-cluster barriers separating chunks.
     let traced = run(
         Rank64Version::GmCache,
-        1,
         true,
         Some(TracePlan {
             seed: 0xCEDA,
@@ -218,7 +201,7 @@ fn breakdown_reproduces_module_service_time_on_a_table1_row() {
 /// balanced "b"/"e" pair per journey, on top of the existing timeline.
 #[test]
 fn chrome_export_with_journeys_is_wellformed() {
-    let traced = run(Rank64Version::GmCache, 2, true, Some(PLAN));
+    let traced = run(Rank64Version::GmCache, true, Some(PLAN));
     let journeys = traced.machine.trace_journeys();
     assert!(!journeys.is_empty());
     let json =
