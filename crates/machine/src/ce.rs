@@ -626,11 +626,14 @@ impl CeEngine {
     /// Advance one cycle.
     pub fn tick(&mut self, now: Cycle, ctx: &mut CeContext<'_>) {
         // Flush a request that failed injection last cycle (even when the
-        // program has finished — the final store must still drain).
-        if let Some(pkt) = self.pending_pkt.take() {
-            if !ctx.forward.try_inject(self.id.port().0, pkt) {
-                self.pending_pkt = Some(pkt);
-            }
+        // program has finished — the final store must still drain). A
+        // refused port leaves it latched untouched.
+        if self.pending_pkt.is_some() && ctx.forward.inject_ready(self.id.port().0) {
+            let pkt = self.pending_pkt.take().expect("checked above");
+            assert!(
+                ctx.forward.try_inject(self.id.port().0, pkt),
+                "a ready port accepts"
+            );
         }
         // Advance the retry controller (even after Done — the last store
         // or sync may still be draining through retries). At most one

@@ -469,8 +469,8 @@ impl MachineConfig {
         if self.cycle_ns <= 0.0 || self.cycle_ns.is_nan() {
             return Err("cycle time must be positive".into());
         }
-        if self.network.radix < 2 {
-            return Err("network radix must be at least 2".into());
+        if !(2..=16).contains(&self.network.radix) {
+            return Err("network radix must be 2..=16".into());
         }
         if self.network.queue_words == 0 {
             return Err("network queues must hold at least one word".into());
@@ -588,6 +588,8 @@ mod tests {
 
         let mut cfg = MachineConfig::cedar();
         cfg.network.radix = 1;
+        assert!(cfg.validate().is_err());
+        cfg.network.radix = 32;
         assert!(cfg.validate().is_err());
 
         let mut cfg = MachineConfig::cedar();

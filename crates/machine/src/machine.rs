@@ -486,12 +486,13 @@ impl Machine {
         self.program_meta
     }
 
-    /// Fully-stalled network ticks the flow path settled by replaying its
-    /// cached stall charge instead of re-walking every queue, summed over
-    /// both directions. Zero when the flow path is off; the equivalence
-    /// tests use it to prove the fast path actually ran.
+    /// Always `0`. The flow path used to settle fully-stalled network
+    /// ticks by replaying a cached stall charge; that replay is gone, and
+    /// this shim stays only because the benchmark package
+    /// (`paperbench/src/traced.rs`) still reads it. Remove it with that
+    /// caller at the benchmark's next change.
     pub fn flow_stall_replays(&self) -> u64 {
-        self.forward.stall_replays() + self.reverse.stall_replays()
+        0
     }
 
     /// Raw journey trace events drained at the end of the most recent
@@ -1167,16 +1168,13 @@ impl Machine {
         profiled(&mut prof, region::REVERSE, || {
             let mut sink = CeSink {
                 engines: &mut self.engines,
-                histogram: &mut self.latency_histogram,
+                histogram: Arc::make_mut(&mut self.latency_histogram),
                 now,
             };
-            // The CE side always accepts (try_begin is constant), so the
-            // reverse network runs under a constant acceptance epoch.
-            self.reverse.tick_epoch(&mut sink, 0);
+            self.reverse.tick(&mut sink);
         });
         profiled(&mut prof, region::FORWARD, || {
-            let epoch = self.gmem.accept_epoch();
-            self.forward.tick_epoch(&mut self.gmem, epoch);
+            self.forward.tick(&mut self.gmem);
         });
         profiled(&mut prof, region::CLUSTER, || {
             for cl in &mut self.clusters {
@@ -1336,7 +1334,7 @@ fn fill_util_samples(engines: &[Option<CeEngine>], out: &mut Vec<UtilSample>) {
 /// reverse-network signals on the real machine).
 struct CeSink<'a> {
     engines: &'a mut [Option<CeEngine>],
-    histogram: &'a mut Arc<Histogrammer>,
+    histogram: &'a mut Histogrammer,
     now: Cycle,
 }
 
@@ -1350,7 +1348,7 @@ impl NetSink for CeSink<'_> {
     fn deliver(&mut self, port: usize, packet: Packet) {
         if let Payload::Reply(r) = packet.payload {
             if matches!(r.stream, crate::network::packet::Stream::Prefetch { .. }) {
-                Arc::make_mut(self.histogram)
+                self.histogram
                     .record(self.now.saturating_since(r.req_issued) as usize);
             }
             if let Some(Some(e)) = self.engines.get_mut(port) {

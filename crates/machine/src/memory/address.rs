@@ -31,13 +31,26 @@ pub enum MemSpace {
 /// assert_eq!(module_of(0, 32), ModuleId(0));
 /// assert_eq!(module_of(33, 32), ModuleId(1));
 /// ```
+#[inline]
 pub fn module_of(addr: u64, modules: usize) -> ModuleId {
-    ModuleId((addr % modules as u64) as usize)
+    let m = modules as u64;
+    // Every prefetched word pays this, and a power-of-two module count
+    // (Cedar's 32) needs a mask, not a hardware divide.
+    ModuleId(if m.is_power_of_two() {
+        addr & (m - 1)
+    } else {
+        addr % m
+    } as usize)
 }
 
 /// The 4 KB page containing word `addr` (`page_words` = words per page).
+#[inline]
 pub fn page_of(addr: u64, page_words: u64) -> PageId {
-    PageId(addr / page_words)
+    PageId(if page_words.is_power_of_two() {
+        addr >> page_words.trailing_zeros()
+    } else {
+        addr / page_words
+    })
 }
 
 /// True when `a` and `b` lie on different pages — the PFU suspends at

@@ -23,11 +23,6 @@ pub struct GlobalMemory {
     /// the per-cycle loop visits set bits only (in ascending module
     /// order, like the dense loop it replaces).
     active: Vec<u64>,
-    /// Bumped whenever any module consumed a queue entry — the moments a
-    /// [`NetSink::try_begin`] answer can turn from full to accepting.
-    /// The forward network's flow path uses this as its sink-acceptance
-    /// epoch (see `Omega::tick_epoch`).
-    accept_epoch: u64,
     dropped_replies: u64,
 }
 
@@ -37,7 +32,6 @@ impl GlobalMemory {
         GlobalMemory {
             modules: (0..cfg.modules).map(|p| Module::new(p, cfg)).collect(),
             active: vec![0; cfg.modules.div_ceil(64)],
-            accept_epoch: 0,
             dropped_replies: 0,
         }
     }
@@ -73,30 +67,18 @@ impl GlobalMemory {
     /// `reverse`. Idle modules tick as guaranteed no-ops, so only the
     /// active mask's set bits are visited (ascending module order).
     pub fn tick(&mut self, now: Cycle, reverse: &mut Omega) {
-        let mut popped = false;
         for c in 0..self.active.len() {
             let mut bits = self.active[c];
             while bits != 0 {
                 let i = c * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let m = &mut self.modules[i];
-                popped |= m.tick(now, reverse);
+                m.tick(now, reverse);
                 if m.is_idle() {
                     self.active[c] &= !(1 << (i % 64));
                 }
             }
         }
-        if popped {
-            self.accept_epoch += 1;
-        }
-    }
-
-    /// Sink-acceptance epoch for the forward network: changes exactly
-    /// when some module's queue made room (the only event that can turn a
-    /// refusing [`NetSink::try_begin`] into an accepting one between
-    /// forward-network ticks — queue growth happens inside those ticks).
-    pub(crate) fn accept_epoch(&self) -> u64 {
-        self.accept_epoch
     }
 
     /// True when every module is idle.
@@ -176,13 +158,15 @@ impl GlobalMemory {
         }
     }
 
-    /// Serialize the array: the active mask, acceptance epoch, and every
-    /// module in bank order. The stored module count is checked against
-    /// the configuration on restore.
+    /// Serialize the array: the active mask and every module in bank
+    /// order. The stored module count is checked against the
+    /// configuration on restore.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         w.tag(b"GMEM");
         w.seq(self.active.iter(), |w, bits| w.u64(*bits));
-        w.u64(self.accept_epoch);
+        // Retired acceptance epoch, always zero: kept so the wire layout
+        // (and `SNAPSHOT_VERSION`) stays unchanged.
+        w.u64(0);
         w.u64(self.dropped_replies);
         w.seq(self.modules.iter(), |w, m| m.save_state(w));
     }
@@ -201,7 +185,7 @@ impl GlobalMemory {
             )));
         }
         self.active = active;
-        self.accept_epoch = r.u64()?;
+        r.u64()?; // retired acceptance epoch
         self.dropped_replies = r.u64()?;
         let n = self.modules.len();
         r.seq_exact(n, |r, i| self.modules[i].load_state(r))?;

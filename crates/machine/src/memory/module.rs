@@ -270,22 +270,20 @@ impl Module {
 
     /// Advance one cycle: retire finished service into a reply, inject the
     /// pending reply into the reverse network, start the next request.
-    /// Returns whether a queued request was consumed (service started) —
-    /// the event that can turn a full queue back into an accepting one,
-    /// which the global memory folds into its acceptance epoch.
-    pub fn tick(&mut self, now: Cycle, reverse: &mut Omega) -> bool {
+    pub fn tick(&mut self, now: Cycle, reverse: &mut Omega) {
         if self.is_idle() {
-            return false;
+            return;
         }
         self.stats.queue_occupancy_sum += self.queue.len() as u64;
         if self.current.is_some() && !self.queue.is_empty() {
             self.stats.conflict_stall_cycles += 1;
         }
 
-        // Retire a finished service into a pending reply.
-        if let Some((req, done_at)) = self.current {
-            if now >= done_at {
-                self.current = None;
+        // Retire a finished service into a pending reply (the request is
+        // moved out only when its service completes).
+        if let Some((_, done_at)) = &self.current {
+            if now >= *done_at {
+                let (req, _) = self.current.take().expect("matched above");
                 self.stats.requests += 1;
                 if req.trace != 0 {
                     self.trace
@@ -297,11 +295,17 @@ impl Module {
             }
         }
 
-        // Try to inject a waiting reply.
-        if let Some(pkt) = self.pending_reply.take() {
-            if !reverse.try_inject(self.port, pkt) {
+        // Inject the waiting reply; a refused port leaves it latched
+        // untouched.
+        if self.pending_reply.is_some() {
+            if reverse.inject_ready(self.port) {
+                let pkt = self.pending_reply.take().expect("checked above");
+                assert!(
+                    reverse.try_inject(self.port, pkt),
+                    "a ready port accepts the reply"
+                );
+            } else {
                 self.stats.reply_stall_cycles += 1;
-                self.pending_reply = Some(pkt);
             }
         }
 
@@ -321,10 +325,8 @@ impl Module {
                 }
                 self.current = Some((req, now + u64::from(cost)));
                 self.stats.busy_cycles += 1;
-                return true;
             }
         }
-        false
     }
 
     /// Serialize mutable state. The queue is written front-to-back and

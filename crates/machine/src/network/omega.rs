@@ -17,6 +17,14 @@
 //! numbering follows the standard construction: a perfect shuffle
 //! (rotate-left of base-`r` digits) precedes every stage, and switch `j`
 //! of a stage owns lines `j*r .. j*r+r`.
+//!
+//! Host cost: every word move is on the simulator's hottest path, so the
+//! per-word state is kept minimal. A flit carries its packet's
+//! destination (a head hop routes without touching the packet slab), and
+//! switch occupancy is read from the cached front-route bytes instead of
+//! being counted per move. Every tick sweeps the network in full; a
+//! producer asks [`Omega::inject_ready`] before building a packet the
+//! injector would refuse.
 
 use crate::config::NetworkConfig;
 use crate::monitor::Histogrammer;
@@ -34,17 +42,39 @@ const NO_PACKET: PacketId = PacketId::MAX;
 const NO_FRONT: u8 = u8::MAX;
 
 /// Sentinel in [`Omega::locks`] for an unlocked output.
-const NO_LOCK: u32 = u32::MAX;
+const NO_LOCK: u8 = u8::MAX;
 
-/// One 64-bit word in flight.
+/// [`Flit::bits`]: the packet's header word.
+const HEAD: u8 = 1;
+
+/// [`Flit::bits`]: the packet's last word.
+const TAIL: u8 = 2;
+
+/// One 64-bit word in flight (8 bytes, so a stage queue ring stays a few
+/// cache lines).
 #[derive(Debug, Clone, Copy, Default)]
 struct Flit {
     pkt: PacketId,
-    is_head: bool,
-    is_tail: bool,
+    /// The packet's destination, carried on every word so a head hop
+    /// routes without a slab lookup.
+    dst: u16,
     /// For head words: the output subport at the stage this word currently
     /// queues at (precomputed so arbitration needs no packet lookup).
     route: u8,
+    /// [`HEAD`] / [`TAIL`] bits.
+    bits: u8,
+}
+
+impl Flit {
+    #[inline]
+    fn is_head(self) -> bool {
+        self.bits & HEAD != 0
+    }
+
+    #[inline]
+    fn is_tail(self) -> bool {
+        self.bits & TAIL != 0
+    }
 }
 
 /// Trace id and issuing CE carried in a packet's payload.
@@ -101,22 +131,30 @@ pub struct NetStats {
 /// the configured capacity (exported stat registries pin their shape).
 const RING_CAP: usize = 16;
 
-/// Upper bound on switch stages (radix 2 over 64 lines needs 6; the bound
-/// sizes the flow path's stack snapshots of the per-stage counters).
-const MAX_STAGES: usize = 16;
-
 /// A packet slab slot: either a live in-flight packet or a link in the
 /// intrusive free list (LIFO, so ids are reused densely — the same order a
 /// separate free stack would give, without the side allocation).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Slot {
     Live(Packet),
     Free { next: PacketId },
 }
 
+/// Upper bound on the switch radix (arbitration masks are `u16`).
+const MAX_RADIX: usize = 16;
+
 /// Upper bound on per-port injector occupancy (the configured cap is 2;
 /// the array is sized with slack so the ring stays branch-trivial).
 const INJ_CAP: usize = 4;
+
+/// A packet waiting in an injector: its slab id, total words and
+/// destination (cached so streaming its words needs no slab lookup).
+#[derive(Debug, Clone, Copy)]
+struct InjSlot {
+    pkt: PacketId,
+    dst: u16,
+    words: u8,
+}
 
 /// Per-port packet injector: producers hand over whole packets; the
 /// injector streams them into the first stage one word per cycle. A fixed
@@ -124,7 +162,7 @@ const INJ_CAP: usize = 4;
 /// across the heap.
 #[derive(Debug, Clone, Copy)]
 struct Injector {
-    slots: [(PacketId, u8); INJ_CAP], // (packet, total words)
+    slots: [InjSlot; INJ_CAP],
     head: u8,
     len: u8,
     words_sent: u8,
@@ -133,7 +171,11 @@ struct Injector {
 impl Default for Injector {
     fn default() -> Injector {
         Injector {
-            slots: [(NO_PACKET, 0); INJ_CAP],
+            slots: [InjSlot {
+                pkt: NO_PACKET,
+                dst: 0,
+                words: 0,
+            }; INJ_CAP],
             head: 0,
             len: 0,
             words_sent: 0,
@@ -148,7 +190,7 @@ impl Injector {
     }
 
     #[inline]
-    fn front(&self) -> Option<(PacketId, u8)> {
+    fn front(&self) -> Option<InjSlot> {
         if self.len == 0 {
             None
         } else {
@@ -157,7 +199,7 @@ impl Injector {
     }
 
     #[inline]
-    fn push_back(&mut self, entry: (PacketId, u8)) {
+    fn push_back(&mut self, entry: InjSlot) {
         debug_assert!(self.len() < INJ_CAP, "injector overflow");
         let tail = (usize::from(self.head) + self.len()) % INJ_CAP;
         self.slots[tail] = entry;
@@ -170,64 +212,6 @@ impl Injector {
         self.head = ((usize::from(self.head) + 1) % INJ_CAP) as u8;
         self.len -= 1;
     }
-}
-
-/// A chunked bitmask over network lines, iterated in ascending order (the
-/// deterministic port order every scan in this module follows).
-#[derive(Debug, Clone, Default)]
-struct LineMask {
-    words: Vec<u64>,
-}
-
-impl LineMask {
-    fn new(lines: usize) -> LineMask {
-        LineMask {
-            words: vec![0; lines.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, line: usize) {
-        self.words[line / 64] |= 1 << (line % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, line: usize) {
-        self.words[line / 64] &= !(1 << (line % 64));
-    }
-
-    #[inline]
-    fn chunks(&self) -> usize {
-        self.words.len()
-    }
-
-    #[inline]
-    fn chunk(&self, w: usize) -> u64 {
-        self.words[w]
-    }
-}
-
-/// Per-port reassembly of ejected words into packets.
-#[derive(Debug, Default)]
-struct Assembler {
-    accepted: bool, // head word accepted by the sink
-}
-
-/// The per-tick charge of a fully-stalled flow-path tick: every queued
-/// stream is blocked (a saturated tree, or a sink refusing its heads), so
-/// the tick's only effect is a fixed set of stat increments. While the
-/// network is untouched from outside and the sink's acceptance epoch is
-/// unchanged, each further tick repeats exactly this charge — so the flow
-/// path replays it in O(1) instead of re-sweeping every switch.
-#[derive(Debug, Clone)]
-struct StallCharge {
-    /// Sink acceptance epoch the charge was recorded under (see
-    /// [`Omega::tick_epoch`]).
-    epoch: u64,
-    blocked: u64,
-    losses: u64,
-    stage_blocked: Vec<u64>,
-    stage_conflicts: Vec<u64>,
 }
 
 /// Fault-injection state for one network instance. Present only when a
@@ -271,11 +255,12 @@ pub struct Omega {
     qhead: Vec<u8>,
     /// Ring occupancy per `stage * size + line`.
     qlen: Vec<u8>,
-    /// `locks[stage * size + out_line]`: input line currently owning this
-    /// output, [`NO_LOCK`] when free (flat, like `locked_to` — the
-    /// per-stage nesting would cost a pointer chase on every arbitration;
-    /// sentinel-coded so arbitration compares plain integers).
-    locks: Vec<u32>,
+    /// `locks[stage * size + out_line]`: input subport (within the same
+    /// switch) currently owning this output, [`NO_LOCK`] when free (flat,
+    /// like `locked_to` — the per-stage nesting would cost a pointer chase
+    /// on every arbitration; sentinel-coded so arbitration compares plain
+    /// bytes).
+    locks: Vec<u8>,
     /// Reverse map: `locked_to[stage * size + in_line]` = output subport the
     /// input's in-flight packet owns (body words route through it),
     /// [`NO_FRONT`] when the input holds no lock.
@@ -284,24 +269,22 @@ pub struct Omega {
     rr: Vec<u8>,
     injectors: Vec<Injector>,
     pending_injections: usize,
-    /// Ports whose injectors hold packets (ascending-order scan mask).
-    inject_ports: LineMask,
-    assemblers: Vec<Assembler>,
+    /// Ports whose injectors hold packets: a bitmask in 64-port words,
+    /// scanned in ascending port order.
+    inject_ports: Vec<u64>,
+    /// Per output port: the sink accepted the head of the packet now
+    /// ejecting there, so its remaining words need no further check.
+    accepted: Vec<bool>,
     /// In-flight packet slab with an intrusive LIFO free list.
     slab: Vec<Slot>,
     free_head: PacketId,
     in_flight: usize,
     stats: NetStats,
-    /// Words currently queued at each stage; lets the tick skip whole
-    /// stages with nothing to move.
-    stage_words: Vec<u32>,
-    /// Words queued per `stage * switches + switch`; lets the per-stage
-    /// sweep visit only switches that actually hold words.
-    switch_words: Vec<u16>,
     /// Output subport the front word of `stage * size + line` wants
     /// ([`NO_FRONT`] when the queue is empty). A flat byte per line, so a
     /// switch arbitrates from one contiguous read instead of touching
-    /// `radix` separate queue rings.
+    /// `radix` separate queue rings — and a radix-8 switch holds words
+    /// exactly when one of its eight bytes is live, a single `u64` test.
     front_out: Vec<u8>,
     /// `shuffle_tab[line]`: the perfect shuffle of `line`, precomputed so
     /// the per-word hop does no division by the (non-constant) radix.
@@ -309,20 +292,6 @@ pub struct Omega {
     /// `route_tab[stage * size + dst]`: routing digit consumed at `stage`
     /// for destination `dst`.
     route_tab: Vec<u8>,
-    /// `sw_of[line]`: the switch owning `line` within a stage
-    /// (`line / radix`, precomputed).
-    sw_of: Vec<u16>,
-    /// `sub_of[line]`: the subport of `line` within its switch
-    /// (`line % radix`, precomputed — the radix is not a compile-time
-    /// constant, so a plain `%` would cost a hardware divide on every
-    /// word move).
-    sub_of: Vec<u8>,
-    /// Per stage, a bitmask of switches holding words (chunked like
-    /// [`LineMask`]): `switch_busy[stage * mask_chunks + sw/64]`. The
-    /// sweep iterates set bits instead of scanning every switch's count.
-    switch_busy: Vec<u64>,
-    /// Chunks per stage in [`Omega::switch_busy`].
-    mask_chunks: usize,
     /// Arbitration losses per switch stage.
     stage_conflicts: Vec<u64>,
     /// Flow-control blocks per switch stage (injection blocks count
@@ -330,18 +299,12 @@ pub struct Omega {
     stage_blocked: Vec<u64>,
     /// Distribution of stage-queue depths observed after each word push.
     queue_depth: Histogrammer,
-    /// Flow-level fast path on (the default): streams advance through the
-    /// SWAR sparse sweep and fully-stalled horizons replay their cached
-    /// per-tick stall charge in O(1). Off (`CEDAR_NO_FLOWPATH`): the
-    /// dense per-flit oracle sweep runs instead. Both produce bit-for-bit
-    /// identical state, stats and delivery schedules.
+    /// Flow-level fast path on (the default): radix-8 switches arbitrate
+    /// through the SWAR sweep that skips empty switches with one `u64`
+    /// test. Off (`CEDAR_NO_FLOWPATH`): the dense per-flit oracle sweep
+    /// runs instead. Both produce bit-for-bit identical state, stats and
+    /// delivery schedules.
     flow_path: bool,
-    /// Cached stall signature of the previous flow-path tick: `Some` when
-    /// that tick charged blocks/losses but moved nothing, in which case an
-    /// unchanged network replays the same charge without re-sweeping.
-    stall: Option<StallCharge>,
-    /// Ticks replayed in O(1) from a cached stall charge (monotone).
-    stall_replays: u64,
     /// Fault-injection state, `None` on a fault-free network.
     faults: Option<Box<NetFaults>>,
     /// Causal-tracing state, `None` on an untraced network. The machine
@@ -359,7 +322,10 @@ impl Omega {
     /// ([`NetworkConfig`] fields of zero).
     pub fn new(ports: usize, cfg: &NetworkConfig) -> Omega {
         assert!(ports > 0, "network must have at least one port");
-        assert!(cfg.radix >= 2, "network radix must be at least 2");
+        assert!(
+            (2..=MAX_RADIX).contains(&cfg.radix),
+            "network radix must be 2..={MAX_RADIX}"
+        );
         assert!(cfg.queue_words > 0, "switch queues must hold a word");
         let mut size = cfg.radix;
         let mut stages = 1;
@@ -368,8 +334,8 @@ impl Omega {
             stages += 1;
         }
         assert!(
-            stages <= MAX_STAGES,
-            "networks of {stages} stages unsupported"
+            size <= 1 << 16,
+            "networks of {size} lines unsupported (flits carry a 16-bit destination)"
         );
         // Input + output queue per port pair; we model the pair as a single
         // per-stage queue of twice the per-queue capacity.
@@ -393,9 +359,6 @@ impl Omega {
                 route_tab[stage * size + dst] = (d % cfg.radix) as u8;
             }
         }
-        let sw_of = (0..size).map(|line| (line / cfg.radix) as u16).collect();
-        let sub_of = (0..size).map(|line| (line % cfg.radix) as u8).collect();
-        let mask_chunks = (size / cfg.radix).div_ceil(64);
         Omega {
             radix: cfg.radix,
             stages,
@@ -411,27 +374,19 @@ impl Omega {
             rr: vec![0; stages * size],
             injectors: vec![Injector::default(); size],
             pending_injections: 0,
-            inject_ports: LineMask::new(size),
-            assemblers: (0..size).map(|_| Assembler::default()).collect(),
+            inject_ports: vec![0; size.div_ceil(64)],
+            accepted: vec![false; size],
             slab: Vec::new(),
             free_head: NO_PACKET,
             in_flight: 0,
             stats: NetStats::default(),
-            stage_words: vec![0; stages],
-            switch_words: vec![0; stages * (size / cfg.radix)],
             front_out: vec![NO_FRONT; stages * size],
             shuffle_tab,
             route_tab,
-            sw_of,
-            sub_of,
-            switch_busy: vec![0; stages * mask_chunks],
-            mask_chunks,
             stage_conflicts: vec![0; stages],
             stage_blocked: vec![0; stages],
             queue_depth: Histogrammer::with_bins(RING_CAP + 1),
             flow_path: true,
-            stall: None,
-            stall_replays: 0,
             faults: None,
             trace: None,
         }
@@ -443,18 +398,11 @@ impl Omega {
     /// machine-checked invariant, not a hope.
     pub fn set_flow_path(&mut self, on: bool) {
         self.flow_path = on;
-        self.stall = None;
     }
 
     /// Whether the flow-level fast path is enabled.
     pub fn flow_path(&self) -> bool {
         self.flow_path
-    }
-
-    /// Ticks replayed in O(1) from a cached stall charge since
-    /// construction (zero with the flow path off).
-    pub fn stall_replays(&self) -> u64 {
-        self.stall_replays
     }
 
     /// Install fault injection on this network. `salt` distinguishes the
@@ -464,7 +412,6 @@ impl Omega {
     /// the packet with probability `drop_ppm` per million, else corrupts
     /// a request (the module will NACK) with `nack_ppm` per million.
     pub fn enable_faults(&mut self, seed: u64, salt: u64, drop_ppm: u64, nack_ppm: u64) {
-        self.stall = None;
         self.faults = Some(Box::new(NetFaults {
             seed,
             salt,
@@ -517,7 +464,6 @@ impl Omega {
     /// severs the injection link, it does not strand wormhole locks.
     pub fn set_port_down(&mut self, port: usize, down: bool) {
         assert!(port < self.size, "port {port} out of range");
-        self.stall = None;
         if let Some(f) = self.faults.as_deref_mut() {
             f.down[port] = down;
         }
@@ -551,9 +497,9 @@ impl Omega {
         self.stages
     }
 
-    /// Offer a packet for injection at `port`. Returns `false` when the
-    /// port's injector is full; the caller must retry later (this is the
-    /// backpressure that stalls a CE or memory module).
+    /// Offer a packet for injection at `port`. Returns `false` when
+    /// [`Omega::inject_ready`] refuses the port; the caller must retry
+    /// later (this is the backpressure that stalls a CE or memory module).
     pub fn try_inject(&mut self, port: usize, packet: Packet) -> bool {
         assert!(port < self.size, "port {port} out of range");
         assert!(
@@ -562,13 +508,7 @@ impl Omega {
             packet.dst
         );
         assert!(packet.words >= 1, "packets carry at least the header word");
-        if let Some(f) = self.faults.as_deref() {
-            if f.down[port] {
-                self.stats.link_blocked += 1;
-                return false;
-            }
-        }
-        if self.injectors[port].len() >= self.injector_cap {
+        if !self.inject_ready(port) {
             return false;
         }
         let mut packet = packet;
@@ -595,7 +535,7 @@ impl Omega {
                 t.stamp_inject(tid, ce);
             }
         }
-        let words = packet.words;
+        let (words, dst) = (packet.words, packet.dst as u16);
         let id = self.alloc(packet);
         if let Some(f) = self.faults.as_deref_mut() {
             // Slab slots are reused, so the doom bit is (re)written on
@@ -605,13 +545,14 @@ impl Omega {
             }
             f.doom[id as usize] = doom;
         }
-        self.injectors[port].push_back((id, words));
-        self.inject_ports.set(port);
+        self.injectors[port].push_back(InjSlot {
+            pkt: id,
+            dst,
+            words,
+        });
+        self.inject_ports[port / 64] |= 1 << (port % 64);
         self.pending_injections += 1;
         self.stats.packets_injected += 1;
-        // New work invalidates any cached stall charge: the next tick must
-        // re-sweep (the fresh packet may move, or adds its own charge).
-        self.stall = None;
         true
     }
 
@@ -631,15 +572,20 @@ impl Omega {
         }
     }
 
-    /// Packets `port`'s injector can still accept this cycle. Injection
-    /// acceptance depends only on this per-port occupancy.
-    pub fn injector_free(&self, port: usize) -> usize {
+    /// Whether [`Omega::try_inject`] at `port` would accept a packet now,
+    /// asked before the packet is built. A downed port refuses and charges
+    /// `link_blocked` exactly as a refused `try_inject` does, so a producer
+    /// that checks here first and skips `try_inject` on `false` leaves the
+    /// stats as the `try_inject` alone would have.
+    #[inline]
+    pub fn inject_ready(&mut self, port: usize) -> bool {
         if let Some(f) = self.faults.as_deref() {
             if f.down[port] {
-                return 0;
+                self.stats.link_blocked += 1;
+                return false;
             }
         }
-        self.injector_cap.saturating_sub(self.injectors[port].len())
+        self.injectors[port].len() < self.injector_cap
     }
 
     /// Statistics since construction.
@@ -664,95 +610,15 @@ impl Omega {
     }
 
     /// Advance the network one cycle, delivering completed packets to
-    /// `sink`. Words move at most one hop per cycle; stages are processed
-    /// downstream-first so freed space propagates upstream next cycle, like
-    /// the real per-stage flow control. Generic over the sink so the
-    /// memory- and CE-side delivery paths monomorphize and inline.
-    ///
-    /// This entry makes no promise about the sink between calls, so it
-    /// never replays a cached stall charge; use [`Omega::tick_epoch`] when
-    /// the caller can vouch for the sink's acceptance state.
+    /// `sink`: up to `words_per_cycle` passes, then injection. Words move
+    /// at most one hop per pass; stages are processed downstream-first so
+    /// freed space propagates upstream next pass, like the real per-stage
+    /// flow control. Generic over the sink so the memory- and CE-side
+    /// delivery paths monomorphize and inline.
     pub fn tick<S: NetSink + ?Sized>(&mut self, sink: &mut S) {
-        self.stall = None;
-        self.tick_epoch(sink, 0);
-    }
-
-    /// Advance the network one cycle under a sink-acceptance `epoch`: a
-    /// value the caller changes whenever any [`NetSink::try_begin`] answer
-    /// may have changed since the previous tick (and otherwise keeps
-    /// constant). With the flow path on, a tick that moved nothing — every
-    /// stream stalled behind flow control or a refusing sink — caches its
-    /// stat charge, and subsequent ticks at the same epoch with no
-    /// intervening injection or fault event replay it in O(1) instead of
-    /// re-arbitrating every switch. The replayed charge is exactly what
-    /// the oracle sweep would have recomputed, bit for bit.
-    pub fn tick_epoch<S: NetSink + ?Sized>(&mut self, sink: &mut S, epoch: u64) {
         if self.in_flight == 0 {
             return; // nothing anywhere in the network
         }
-        if !self.flow_path {
-            self.sweep(sink);
-            return;
-        }
-        if let Some(c) = &self.stall {
-            if c.epoch == epoch {
-                // The previous tick moved nothing and nothing has changed
-                // since: this tick charges the identical stall deltas and
-                // again moves nothing.
-                self.stats.blocked_moves += c.blocked;
-                self.stats.arbitration_losses += c.losses;
-                for (s, d) in c.stage_blocked.iter().enumerate() {
-                    self.stage_blocked[s] += d;
-                }
-                for (s, d) in c.stage_conflicts.iter().enumerate() {
-                    self.stage_conflicts[s] += d;
-                }
-                self.stall_replays += 1;
-                return;
-            }
-            // Sink state moved on: the cached charge is stale.
-            self.stall = None;
-        }
-        let moved0 = self.stats.words_moved;
-        let blocked0 = self.stats.blocked_moves;
-        let losses0 = self.stats.arbitration_losses;
-        let mut sb0 = [0u64; MAX_STAGES];
-        let mut sc0 = [0u64; MAX_STAGES];
-        sb0[..self.stages].copy_from_slice(&self.stage_blocked);
-        sc0[..self.stages].copy_from_slice(&self.stage_conflicts);
-        self.sweep(sink);
-        if self.stats.words_moved == moved0 {
-            // Nothing moved, so nothing in the network changed: queues,
-            // locks, round-robin pointers and assemblers are untouched
-            // (only stat charges were made). Cache the tick's exact charge
-            // for O(1) replay while the stall horizon lasts.
-            let stage_blocked = self
-                .stage_blocked
-                .iter()
-                .zip(&sb0)
-                .map(|(a, b)| a - b)
-                .collect();
-            let stage_conflicts = self
-                .stage_conflicts
-                .iter()
-                .zip(&sc0)
-                .map(|(a, b)| a - b)
-                .collect();
-            self.stall = Some(StallCharge {
-                epoch,
-                blocked: self.stats.blocked_moves - blocked0,
-                losses: self.stats.arbitration_losses - losses0,
-                stage_blocked,
-                stage_conflicts,
-            });
-        }
-    }
-
-    /// One full cycle of the per-flit sweep: up to `words_per_cycle`
-    /// passes, then injection. Shared by the oracle path and the flow
-    /// path's non-stalled ticks (the flow path differs per switch, not in
-    /// the pass structure).
-    fn sweep<S: NetSink + ?Sized>(&mut self, sink: &mut S) {
         for _ in 0..self.words_per_cycle {
             // A pass that neither moved a word nor charged a block or an
             // arbitration loss left the network untouched, so every further
@@ -787,26 +653,17 @@ impl Omega {
 
     fn release(&mut self, id: PacketId) -> Packet {
         self.in_flight -= 1;
-        let slot = std::mem::replace(
-            &mut self.slab[id as usize],
-            Slot::Free {
-                next: self.free_head,
-            },
-        );
+        let slot = &mut self.slab[id as usize];
+        // Copy the packet out and overwrite only the free link: swapping
+        // in a whole packet-sized `Slot` would write it twice.
+        let Slot::Live(pkt) = *slot else {
+            unreachable!("released packet must be live")
+        };
+        *slot = Slot::Free {
+            next: self.free_head,
+        };
         self.free_head = id;
-        match slot {
-            Slot::Live(pkt) => pkt,
-            Slot::Free { .. } => unreachable!("released packet must be live"),
-        }
-    }
-
-    /// Destination of a live in-flight packet.
-    #[inline]
-    fn packet_dst(&self, id: PacketId) -> usize {
-        match &self.slab[id as usize] {
-            Slot::Live(pkt) => pkt.dst,
-            Slot::Free { .. } => unreachable!("queued flit has live packet"),
-        }
+        pkt
     }
 
     /// Perfect shuffle: rotate the base-`radix` digits of `line` left
@@ -855,69 +712,49 @@ impl Omega {
         len + 1
     }
 
-    /// Recompute the cached output subport of the front word on
-    /// `stage`'s `line` after a queue push/pop changed the front.
+    /// Output subport wanted by `f` at the front of queue `idx`: a head
+    /// word's own route, else the output its packet's head locked.
     #[inline]
-    fn refresh_front(&mut self, stage: usize, line: usize) {
-        let idx = stage * self.size + line;
-        self.front_out[idx] = if self.qlen[idx] == 0 {
-            NO_FRONT
+    fn front_route(&self, idx: usize, f: Flit) -> u8 {
+        if f.is_head() {
+            f.route
         } else {
-            let f = self.q_front(idx);
-            if f.is_head {
-                f.route
-            } else {
-                // A body word at the front implies its head already moved
-                // through this stage and left the output lock behind.
-                debug_assert_ne!(self.locked_to[idx], NO_FRONT);
-                self.locked_to[idx]
-            }
-        };
-    }
-
-    /// Note a word arriving at `sw` of `stage` (count + busy-mask upkeep).
-    #[inline]
-    fn add_switch_word(&mut self, stage: usize, sw: usize) {
-        self.switch_words[stage * (self.size / self.radix) + sw] += 1;
-        self.switch_busy[stage * self.mask_chunks + sw / 64] |= 1 << (sw % 64);
-    }
-
-    /// Note a word leaving `sw` of `stage`, clearing its busy bit on the
-    /// last word out.
-    #[inline]
-    fn sub_switch_word(&mut self, stage: usize, sw: usize) {
-        let idx = stage * (self.size / self.radix) + sw;
-        self.switch_words[idx] -= 1;
-        if self.switch_words[idx] == 0 {
-            self.switch_busy[stage * self.mask_chunks + sw / 64] &= !(1 << (sw % 64));
+            // A body word at the front implies its head already moved
+            // through this stage and left the output lock behind.
+            debug_assert_ne!(self.locked_to[idx], NO_FRONT);
+            self.locked_to[idx]
         }
     }
 
     fn move_words_once<S: NetSink + ?Sized>(&mut self, sink: &mut S) {
         // The flow path's SWAR sweep reads a switch's cached fronts as one
         // word; it needs the full radix-8 byte lane. Other radices run the
-        // (identical) dense per-line scan.
-        let swar = self.flow_path && self.radix == 8;
-        for stage in (0..self.stages).rev() {
-            if self.stage_words[stage] == 0 {
-                continue; // no queued words anywhere in this stage
-            }
-            // Visit only switches holding words, in ascending order (the
-            // same order as a dense scan): an empty switch's sweep is a
-            // guaranteed no-op, and on a sparse cycle (the common case)
-            // nearly every switch is empty. The chunk snapshot is safe:
-            // ticking a switch can only move words downstream, so it never
-            // changes another same-stage switch's occupancy.
-            for c in 0..self.mask_chunks {
-                let mut bits = self.switch_busy[stage * self.mask_chunks + c];
-                while bits != 0 {
-                    let sw = c * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if swar {
-                        self.tick_switch_flow8(stage, sw, sink);
-                    } else {
-                        self.tick_switch(stage, sw, sink);
+        // (identical) dense per-line scan. Switches are visited in
+        // ascending order; ticking one only moves words downstream, so it
+        // never changes another same-stage switch's occupancy.
+        let switches = self.size / self.radix;
+        if self.flow_path && self.radix == 8 {
+            for stage in (0..self.stages).rev() {
+                for sw in 0..switches {
+                    let at = stage * self.size + sw * 8;
+                    let fronts = u64::from_le_bytes(
+                        self.front_out[at..at + 8]
+                            .try_into()
+                            .expect("eight front bytes per radix-8 switch"),
+                    );
+                    // Route subports are 0..8 and the empty sentinel is
+                    // `0xFF`, so a line is live exactly when its byte's
+                    // high bit is clear.
+                    let live = !fronts & 0x8080_8080_8080_8080;
+                    if live != 0 {
+                        self.tick_switch_flow8(stage, sw, fronts, live, sink);
                     }
+                }
+            }
+        } else {
+            for stage in (0..self.stages).rev() {
+                for sw in 0..switches {
+                    self.tick_switch(stage, sw, sink);
                 }
             }
         }
@@ -925,11 +762,8 @@ impl Omega {
 
     /// Advance one switch: read the cached input fronts (one contiguous
     /// byte per line), collecting the output each movable word wants; then
-    /// serve each requested output (lock owner first, else round-robin
-    /// among competing head words).
+    /// serve the requested outputs.
     fn tick_switch<S: NetSink + ?Sized>(&mut self, stage: usize, sw: usize, sink: &mut S) {
-        const MAX_RADIX: usize = 16;
-        debug_assert!(self.radix <= MAX_RADIX);
         let base = sw * self.radix;
         let qbase = stage * self.size + base;
         // For each output subport, the input subports requesting it, plus
@@ -942,72 +776,40 @@ impl Omega {
                 outs |= 1 << u32::from(out);
             }
         }
-        // Ascending subport order, skipping unrequested outputs — the same
-        // visit order as a dense 0..radix loop.
-        while outs != 0 {
-            let subport = outs.trailing_zeros() as usize;
-            outs &= outs - 1;
-            let req = requested[subport];
-            let out_line = base + subport;
-            let owner = self.locks[stage * self.size + out_line];
-            let src_line = if owner != NO_LOCK {
-                // Only the lock owner may use this output; competing head
-                // words wait (no arbitration happened, so no losses are
-                // charged).
-                if req & (1 << (owner as usize - base)) == 0 {
-                    continue;
-                }
-                owner as usize
-            } else {
-                // Round-robin: first requesting input at or cyclically
-                // after `start` wins; every other requester loses.
-                let start = usize::from(self.rr[stage * self.size + out_line]);
-                let rot = ((u32::from(req) >> start) | (u32::from(req) << (self.radix - start)))
-                    & ((1u32 << self.radix) - 1);
-                let first = rot.trailing_zeros() as usize;
-                let losers = u64::from(req.count_ones()) - 1;
-                self.stats.arbitration_losses += losers;
-                self.stage_conflicts[stage] += losers;
-                base + (start + first) % self.radix
-            };
-            self.move_from(stage, out_line, src_line, sink);
-        }
+        self.serve_outputs(stage, base, self.radix, &requested, outs, sink);
     }
 
-    /// The flow path's radix-8 switch sweep: read all eight cached input
-    /// fronts as one little-endian word and operate on the live lanes
-    /// only. Route subports are 0..8 and the empty sentinel is `0xFF`, so
-    /// "live" is exactly "high bit clear" — one mask, no per-byte
-    /// comparisons. Visit order (ascending line, then ascending output
-    /// subport) and every arbitration rule match [`Omega::tick_switch`]
-    /// bit for bit; only the scan is restructured.
-    fn tick_switch_flow8<S: NetSink + ?Sized>(&mut self, stage: usize, sw: usize, sink: &mut S) {
-        const HI: u64 = 0x8080_8080_8080_8080;
+    /// The flow path's radix-8 switch sweep over a non-empty switch:
+    /// `fronts` holds all eight cached input fronts as one little-endian
+    /// word and `live` the high bit of each lane with a queued word, so
+    /// only the live lanes are touched — no per-byte comparisons. Visit
+    /// order (ascending line, then ascending output subport) and every
+    /// arbitration rule match [`Omega::tick_switch`] bit for bit; only
+    /// the scan is restructured.
+    fn tick_switch_flow8<S: NetSink + ?Sized>(
+        &mut self,
+        stage: usize,
+        sw: usize,
+        fronts: u64,
+        mut live: u64,
+        sink: &mut S,
+    ) {
         let base = sw * 8;
-        let qbase = stage * self.size + base;
-        let fronts = u64::from_le_bytes(
-            self.front_out[qbase..qbase + 8]
-                .try_into()
-                .expect("eight front bytes per radix-8 switch"),
-        );
-        let mut live = !fronts & HI; // high bit per line with a queued word
-        debug_assert_ne!(live, 0, "switch_words said this switch holds words");
         if live & (live - 1) == 0 {
             // One requesting line: it wins any arbitration unopposed (no
             // losses, no round-robin movement), and a held lock either
             // belongs to it or excludes it.
             let i = (live.trailing_zeros() >> 3) as usize;
             let out = usize::from((fronts >> (i * 8)) as u8);
-            let out_line = base + out;
-            let owner = self.locks[stage * self.size + out_line];
-            if owner == NO_LOCK || owner as usize == base + i {
-                self.move_from(stage, out_line, base + i, sink);
+            let owner = self.locks[stage * self.size + base + out];
+            if owner == NO_LOCK || usize::from(owner) == i {
+                self.move_from(stage, base, out, i, sink);
             }
             return;
         }
         // Several live lines: group them by requested output, then serve
         // each output exactly as the dense sweep does.
-        let mut requested = [0u16; 8];
+        let mut requested = [0u16; MAX_RADIX];
         let mut outs: u32 = 0;
         while live != 0 {
             let i = (live.trailing_zeros() >> 3) as usize;
@@ -1016,102 +818,140 @@ impl Omega {
             requested[out] |= 1 << i;
             outs |= 1 << out;
         }
+        self.serve_outputs(stage, base, 8, &requested, outs, sink);
+    }
+
+    /// Serve each output subport in `outs` (ascending, the same order as a
+    /// dense `0..radix` loop) of the switch whose first line is `base`:
+    /// the lock owner moves if it requests the output, else round-robin
+    /// picks among the requesting head words (`requested[out]`, a bitmask
+    /// of input subports) and every other requester loses.
+    #[inline(always)]
+    fn serve_outputs<S: NetSink + ?Sized>(
+        &mut self,
+        stage: usize,
+        base: usize,
+        radix: usize,
+        requested: &[u16; MAX_RADIX],
+        mut outs: u32,
+        sink: &mut S,
+    ) {
         while outs != 0 {
-            let subport = outs.trailing_zeros() as usize;
+            let out = outs.trailing_zeros() as usize;
             outs &= outs - 1;
-            let req = requested[subport];
-            let out_line = base + subport;
-            let owner = self.locks[stage * self.size + out_line];
-            let src_line = if owner != NO_LOCK {
-                if req & (1 << (owner as usize - base)) == 0 {
+            let req = u32::from(requested[out]);
+            let lock = stage * self.size + base + out;
+            let owner = self.locks[lock];
+            let src = if owner != NO_LOCK {
+                // Only the lock owner may use this output; competing head
+                // words wait (no arbitration happened, so no losses are
+                // charged).
+                if req & (1 << owner) == 0 {
                     continue;
                 }
-                owner as usize
+                usize::from(owner)
             } else {
-                let start = usize::from(self.rr[stage * self.size + out_line]);
-                let rot = ((u32::from(req) >> start) | (u32::from(req) << (8 - start)))
-                    & ((1u32 << 8) - 1);
-                let first = rot.trailing_zeros() as usize;
+                // Round-robin: first requesting input at or cyclically
+                // after `start` wins.
+                let start = usize::from(self.rr[lock]);
+                let rot = ((req >> start) | (req << (radix - start))) & ((1u32 << radix) - 1);
                 let losers = u64::from(req.count_ones()) - 1;
                 self.stats.arbitration_losses += losers;
                 self.stage_conflicts[stage] += losers;
-                base + (start + first) % 8
+                let src = start + rot.trailing_zeros() as usize;
+                if src >= radix {
+                    src - radix
+                } else {
+                    src
+                }
             };
-            self.move_from(stage, out_line, src_line, sink);
+            self.move_from(stage, base, out, src, sink);
         }
     }
 
-    /// Move the front word of `src_line` through `stage` to `out_line`.
-    /// Inlined into both switch sweeps: the callers already hold the
-    /// stage-relative indices this recomputes, and the call sits on the
-    /// per-word hot edge.
-    #[inline]
+    /// Move the front word of input subport `src` through `stage` to
+    /// output subport `out` of the switch whose first line is `base`.
+    /// Inlined into both switch sweeps: it sits on the per-word hot edge.
+    #[inline(always)]
     fn move_from<S: NetSink + ?Sized>(
         &mut self,
         stage: usize,
-        out_line: usize,
-        src_line: usize,
+        base: usize,
+        out: usize,
+        src: usize,
         sink: &mut S,
     ) {
-        let src_idx = stage * self.size + src_line;
-        let flit = self.q_front(src_idx);
+        let row = stage * self.size;
+        let out_line = base + out;
+        let src_idx = row + base + src;
 
-        // Check downstream space (next stage queue, or sink acceptance).
-        // A doomed packet never consults the sink: it occupies links and
-        // queues like any other packet but evaporates instead of ejecting.
-        let last = stage == self.stages - 1;
-        if last {
-            if flit.is_head
+        // Check downstream space (next stage queue, or sink acceptance;
+        // only the latter needs the word itself). A doomed packet never
+        // consults the sink: it occupies links and queues like any other
+        // packet but evaporates instead of ejecting.
+        let last = stage + 1 == self.stages;
+        let next_idx = if last {
+            0
+        } else {
+            row + self.size + self.shuffle(out_line)
+        };
+        let flit = if last {
+            let flit = self.q_front(src_idx);
+            if flit.is_head()
                 && !self.doomed(flit.pkt)
-                && !self.assemblers[out_line].accepted
+                && !self.accepted[out_line]
                 && !sink.try_begin(out_line)
             {
                 self.stats.blocked_moves += 1;
                 self.stage_blocked[stage] += 1;
                 return;
             }
+            flit
         } else {
-            let next_line = self.shuffle(out_line);
-            if usize::from(self.qlen[(stage + 1) * self.size + next_line]) >= self.queue_cap {
+            if usize::from(self.qlen[next_idx]) >= self.queue_cap {
                 self.stats.blocked_moves += 1;
                 self.stage_blocked[stage] += 1;
                 return;
             }
-        }
+            self.q_front(src_idx)
+        };
 
         // Commit the move (`flit` already holds the front word).
         self.q_advance(src_idx);
-        self.stage_words[stage] -= 1;
-        self.sub_switch_word(stage, usize::from(self.sw_of[src_line]));
         self.stats.words_moved += 1;
-        if flit.is_tail {
-            self.locks[stage * self.size + out_line] = NO_LOCK;
-            self.locked_to[stage * self.size + src_line] = NO_FRONT;
+        let lock = row + out_line;
+        if flit.is_tail() {
+            self.locks[lock] = NO_LOCK;
+            self.locked_to[src_idx] = NO_FRONT;
         } else {
-            self.locks[stage * self.size + out_line] = src_line as u32;
-            self.locked_to[stage * self.size + src_line] = self.sub_of[out_line];
+            self.locks[lock] = src as u8;
+            self.locked_to[src_idx] = out as u8;
         }
-        if flit.is_head {
-            // Advance round-robin past the winner for fairness
-            // (`sub + 1`, wrapping at the radix).
-            let sub = self.sub_of[src_line] + 1;
-            self.rr[stage * self.size + out_line] = if usize::from(sub) == self.radix {
+        if flit.is_head() {
+            // Advance round-robin past the winner for fairness.
+            self.rr[lock] = if src + 1 == self.radix {
                 0
             } else {
-                sub
+                (src + 1) as u8
             };
         }
-        // The pop (and lock update, which a newly exposed body word reads)
-        // changed this line's front.
-        self.refresh_front(stage, src_line);
+        // The pop exposed this line's next word: more of the same packet,
+        // bound for the output it just locked, or after a tail the next
+        // packet's head.
+        self.front_out[src_idx] = if self.qlen[src_idx] == 0 {
+            NO_FRONT
+        } else if flit.is_tail() {
+            self.front_route(src_idx, self.q_front(src_idx))
+        } else {
+            out as u8
+        };
         if last {
-            let doomed = self.doomed(flit.pkt);
-            let asm = &mut self.assemblers[out_line];
-            if flit.is_head {
-                asm.accepted = true;
+            if flit.is_head() {
+                self.accepted[out_line] = true;
             }
-            if flit.is_tail {
-                asm.accepted = false;
+            if flit.is_tail() {
+                self.accepted[out_line] = false;
+                let doomed = self.doomed(flit.pkt);
                 let pkt = self.release(flit.pkt);
                 if !doomed {
                     self.stats.packets_delivered += 1;
@@ -1126,9 +966,8 @@ impl Omega {
             }
         } else {
             let mut flit = flit;
-            if flit.is_head {
-                let dst = self.packet_dst(flit.pkt);
-                flit.route = self.route_digit(dst, stage + 1) as u8;
+            if flit.is_head() {
+                flit.route = self.route_digit(usize::from(flit.dst), stage + 1) as u8;
                 if self.trace.is_some() {
                     let (tid, ce) = self.slab_trace(flit.pkt);
                     if tid != 0 {
@@ -1139,13 +978,10 @@ impl Omega {
                     }
                 }
             }
-            let next_line = self.shuffle(out_line);
-            let depth = self.q_push((stage + 1) * self.size + next_line, flit);
-            self.stage_words[stage + 1] += 1;
-            self.add_switch_word(stage + 1, usize::from(self.sw_of[next_line]));
+            let depth = self.q_push(next_idx, flit);
             if depth == 1 {
                 // The pushed word became the next stage's front.
-                self.refresh_front(stage + 1, next_line);
+                self.front_out[next_idx] = self.front_route(next_idx, flit);
             }
             self.queue_depth.record(depth);
         }
@@ -1157,30 +993,31 @@ impl Omega {
         }
         // Scan only ports with queued injections, in ascending port order
         // (the same deterministic order the dense loop used).
-        for w in 0..self.inject_ports.chunks() {
-            let mut bits = self.inject_ports.chunk(w);
+        for w in 0..self.inject_ports.len() {
+            let mut bits = self.inject_ports[w];
             while bits != 0 {
                 let port = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (pkt, words) = self.injectors[port].front().expect("masked port has work");
                 let line = self.shuffle(port);
                 if usize::from(self.qlen[line]) >= self.queue_cap {
                     self.stats.blocked_moves += 1;
                     self.stage_blocked[0] += 1;
                     continue;
                 }
+                let InjSlot { pkt, dst, words } =
+                    self.injectors[port].front().expect("masked port has work");
                 let sent = self.injectors[port].words_sent;
                 let is_head = sent == 0;
                 let route = if is_head {
-                    self.route_digit(self.packet_dst(pkt), 0) as u8
+                    self.route_digit(usize::from(dst), 0) as u8
                 } else {
                     0
                 };
                 let flit = Flit {
                     pkt,
-                    is_head,
-                    is_tail: sent + 1 == words,
+                    dst,
                     route,
+                    bits: if is_head { HEAD } else { 0 } | if sent + 1 == words { TAIL } else { 0 },
                 };
                 if is_head && self.trace.is_some() {
                     let (tid, ce) = self.slab_trace(pkt);
@@ -1192,11 +1029,9 @@ impl Omega {
                     }
                 }
                 let depth = self.q_push(line, flit);
-                self.stage_words[0] += 1;
-                self.add_switch_word(0, usize::from(self.sw_of[line]));
                 if depth == 1 {
                     // The injected word became this line's front.
-                    self.refresh_front(0, line);
+                    self.front_out[line] = self.front_route(line, flit);
                 }
                 self.queue_depth.record(depth);
                 self.stats.words_moved += 1;
@@ -1207,7 +1042,7 @@ impl Omega {
                     inj.words_sent = 0;
                     self.pending_injections -= 1;
                     if inj.len == 0 {
-                        self.inject_ports.clear(port);
+                        self.inject_ports[w] &= !(1 << (port % 64));
                     }
                 }
             }
@@ -1219,11 +1054,10 @@ use crate::snapshot::{get_packet, put_packet, SnapReader, SnapResult, SnapWriter
 
 impl Omega {
     /// Serialize the network's complete mutable state. Config-derived
-    /// tables (shuffle, routing, switch/subport maps), the fault seeds
-    /// and the cached stall charge are not written: the first two are
-    /// rebuilt by [`Omega::new`], the seeds come from the fault plan,
-    /// and the stall cache is recomputed bit-identically by the next
-    /// tick.
+    /// tables (shuffle, routing, subport maps) and the fault seeds are
+    /// not written: the first are rebuilt by [`Omega::new`], the seeds
+    /// come from the fault plan. Nor are the destinations flits and
+    /// injector slots cache: restore reads them back from the slab.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.tag(b"OMGA");
         // In-flight packet slab first: queued flits reference its ids.
@@ -1249,13 +1083,20 @@ impl Omega {
                 }
                 let f = self.qbuf[idx * self.queue_cap + slot];
                 w.u32(f.pkt);
-                w.bool(f.is_head);
-                w.bool(f.is_tail);
+                w.bool(f.is_head());
+                w.bool(f.is_tail());
                 w.u8(f.route);
             }
         });
         w.seq(0..self.stages * self.size, |w, idx| {
-            w.u32(self.locks[idx]);
+            // The wire format names the owning input line.
+            let l = self.locks[idx];
+            let base = idx % self.size / self.radix * self.radix;
+            w.u32(if l == NO_LOCK {
+                u32::MAX
+            } else {
+                (base + usize::from(l)) as u32
+            });
             w.u8(self.locked_to[idx]);
             w.u8(self.rr[idx]);
         });
@@ -1263,12 +1104,12 @@ impl Omega {
             w.u8(inj.len);
             w.u8(inj.words_sent);
             for slot in 0..inj.len() {
-                let (pkt, words) = inj.slots[(usize::from(inj.head) + slot) % INJ_CAP];
-                w.u32(pkt);
-                w.u8(words);
+                let s = inj.slots[(usize::from(inj.head) + slot) % INJ_CAP];
+                w.u32(s.pkt);
+                w.u8(s.words);
             }
         });
-        w.seq(self.assemblers.iter(), |w, a| w.bool(a.accepted));
+        w.seq(self.accepted.iter(), |w, a| w.bool(*a));
         w.u64(self.stats.packets_injected);
         w.u64(self.stats.packets_delivered);
         w.u64(self.stats.words_moved);
@@ -1280,7 +1121,9 @@ impl Omega {
         w.seq(self.stage_conflicts.iter(), |w, v| w.u64(*v));
         w.seq(self.stage_blocked.iter(), |w, v| w.u64(*v));
         self.queue_depth.save_state(w);
-        w.u64(self.stall_replays);
+        // Retired stall-replay counter, always zero: kept so the wire
+        // layout (and `SNAPSHOT_VERSION`) stays unchanged.
+        w.u64(0);
         w.opt(self.faults.as_deref(), |w, f| {
             w.seq(f.inj_seq.iter(), |w, v| w.u64(*v));
             w.seq(f.down.iter(), |w, v| w.bool(*v));
@@ -1290,9 +1133,9 @@ impl Omega {
     }
 
     /// Restore state written by [`Omega::save_state`] into a network
-    /// built with the identical configuration. Derived occupancy indexes
-    /// (stage/switch word counts, busy masks, cached fronts, injection
-    /// mask) are rebuilt from the restored queues rather than trusted
+    /// built with the identical configuration. Derived state (cached
+    /// fronts, the injection mask, flit and injector destinations) is
+    /// rebuilt from the restored queues and slab rather than trusted
     /// from the snapshot.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
         r.tag(b"OMGA")?;
@@ -1318,6 +1161,13 @@ impl Omega {
             .iter()
             .filter(|s| matches!(s, Slot::Live(_)))
             .count();
+        // Destination of the live packet a restored flit or injector slot
+        // references.
+        let size = self.size;
+        let live_dst = |r: &SnapReader, slab: &[Slot], pkt: PacketId| match slab.get(pkt as usize) {
+            Some(Slot::Live(p)) if p.dst < size => Ok(p.dst as u16),
+            _ => Err(r.err_mismatch("queued packet references no live slab slot")),
+        };
         let queues = self.stages * self.size;
         r.seq_exact(queues, |r, idx| {
             let len = usize::from(r.u8()?);
@@ -1328,23 +1178,29 @@ impl Omega {
             self.qlen[idx] = len as u8;
             for j in 0..len {
                 let pkt = r.u32()?;
-                if pkt >= slots {
-                    return Err(r.err_mismatch("queued flit references no slab slot"));
-                }
+                let dst = live_dst(r, &self.slab, pkt)?;
                 let is_head = r.bool()?;
                 let is_tail = r.bool()?;
                 let route = r.u8()?;
                 self.qbuf[idx * self.queue_cap + j] = Flit {
                     pkt,
-                    is_head,
-                    is_tail,
+                    dst,
                     route,
+                    bits: if is_head { HEAD } else { 0 } | if is_tail { TAIL } else { 0 },
                 };
             }
             Ok(())
         })?;
         r.seq_exact(queues, |r, idx| {
-            self.locks[idx] = r.u32()?;
+            let owner = r.u32()?;
+            let base = idx % self.size / self.radix * self.radix;
+            self.locks[idx] = if owner == u32::MAX {
+                NO_LOCK
+            } else if (base..base + self.radix).contains(&(owner as usize)) {
+                (owner as usize - base) as u8
+            } else {
+                return Err(r.err_mismatch("output locked to a line of another switch"));
+            };
             self.locked_to[idx] = r.u8()?;
             self.rr[idx] = r.u8()?;
             Ok(())
@@ -1361,13 +1217,14 @@ impl Omega {
             inj.words_sent = words_sent;
             for slot in 0..usize::from(len) {
                 let pkt = r.u32()?;
+                let dst = live_dst(r, &self.slab, pkt)?;
                 let words = r.u8()?;
-                inj.slots[slot] = (pkt, words);
+                inj.slots[slot] = InjSlot { pkt, dst, words };
             }
             Ok(())
         })?;
         r.seq_exact(self.size, |r, port| {
-            self.assemblers[port].accepted = r.bool()?;
+            self.accepted[port] = r.bool()?;
             Ok(())
         })?;
         self.stats.packets_injected = r.u64()?;
@@ -1387,7 +1244,7 @@ impl Omega {
             Ok(())
         })?;
         self.queue_depth = Histogrammer::decode(r)?;
-        self.stall_replays = r.u64()?;
+        r.u64()?; // retired stall-replay counter
         let had_faults = r.bool()?;
         match (had_faults, self.faults.as_deref_mut()) {
             (true, Some(f)) => {
@@ -1420,30 +1277,21 @@ impl Omega {
                 ));
             }
         }
-        // Rebuild the derived occupancy indexes; drop the stall cache (the
-        // next tick recomputes it bit-identically).
+        // Rebuild the derived occupancy indexes.
         self.pending_injections = self.injectors.iter().map(Injector::len).sum();
-        self.inject_ports = LineMask::new(self.size);
+        self.inject_ports.iter_mut().for_each(|w| *w = 0);
         for port in 0..self.size {
             if self.injectors[port].len() > 0 {
-                self.inject_ports.set(port);
+                self.inject_ports[port / 64] |= 1 << (port % 64);
             }
         }
-        self.stage_words.iter_mut().for_each(|v| *v = 0);
-        self.switch_words.iter_mut().for_each(|v| *v = 0);
-        self.switch_busy.iter_mut().for_each(|v| *v = 0);
-        for stage in 0..self.stages {
-            for line in 0..self.size {
-                let idx = stage * self.size + line;
-                let n = self.qlen[idx];
-                self.stage_words[stage] += u32::from(n);
-                for _ in 0..n {
-                    self.add_switch_word(stage, usize::from(self.sw_of[line]));
-                }
-                self.refresh_front(stage, line);
-            }
+        for idx in 0..queues {
+            self.front_out[idx] = if self.qlen[idx] == 0 {
+                NO_FRONT
+            } else {
+                self.front_route(idx, self.q_front(idx))
+            };
         }
-        self.stall = None;
         Ok(())
     }
 }
@@ -1799,17 +1647,25 @@ mod tests {
 
     #[test]
     fn downed_port_refuses_until_restored() {
-        let mut net = Omega::new(16, &cfg(4));
-        net.enable_faults(7, 0xF0, 0, 0);
-        net.set_port_down(3, true);
-        assert_eq!(net.injector_free(3), 0);
-        assert!(!net.try_inject(3, pkt(8, 1, 0)));
-        assert_eq!(net.stats().link_blocked, 1);
-        // Other ports are unaffected.
-        assert!(net.try_inject(4, pkt(8, 1, 0)));
-        net.set_port_down(3, false);
-        assert!(net.try_inject(3, pkt(8, 1, 0)));
-        assert_eq!(net.injector_free(3), 1);
+        // Every refusal charges `link_blocked` once, whether
+        // `inject_ready` or `try_inject` gives it.
+        for radix in [2usize, 4, 8] {
+            let mut net = Omega::new(16, &cfg(radix));
+            net.enable_faults(7, 0xF0, 0, 0);
+            net.set_port_down(3, true);
+            for n in 1..=2u64 {
+                assert!(!net.inject_ready(3));
+                assert_eq!(net.stats().link_blocked, 2 * n - 1, "radix {radix}");
+                assert!(!net.try_inject(3, pkt(8, 1, 0)));
+                assert_eq!(net.stats().link_blocked, 2 * n, "radix {radix}");
+            }
+            // Other ports are unaffected.
+            assert!(net.try_inject(4, pkt(8, 1, 0)));
+            net.set_port_down(3, false);
+            assert!(net.inject_ready(3));
+            assert!(net.try_inject(3, pkt(8, 1, 0)));
+            assert_eq!(net.stats().link_blocked, 4);
+        }
     }
 
     #[test]
@@ -1828,5 +1684,121 @@ mod tests {
             assert_eq!(sink.delivered.len(), 16);
         }
         assert_eq!(plain.stats(), faulty.stats());
+    }
+
+    #[test]
+    fn inject_ready_matches_try_inject_acceptance() {
+        for radix in [2usize, 4, 8] {
+            let mut net = Omega::new(16, &cfg(radix));
+            let port = 5;
+            // Open injector: ready, and the packet is taken; until the
+            // injector fills, both keep agreeing.
+            for k in 0..3u64 {
+                let ready = net.inject_ready(port);
+                assert_eq!(ready, net.try_inject(port, pkt(1, 2, k)), "radix {radix}");
+                assert_eq!(ready, k < 2, "radix {radix}: injector holds two packets");
+            }
+            // Full injector: refused by both, with no stat charged.
+            assert!(!net.inject_ready(port));
+            assert!(!net.try_inject(port, pkt(1, 2, 9)));
+            assert_eq!(net.stats().link_blocked, 0);
+            assert_eq!(net.stats().packets_injected, 2);
+        }
+    }
+
+    /// Encode `net`'s state as a snapshot payload.
+    fn save(net: &Omega) -> Vec<u8> {
+        let mut w = crate::snapshot::SnapWriter::new();
+        net.save_state(&mut w);
+        w.into_payload()
+    }
+
+    /// A radix-8 Cedar network with 4-word packets from eight sources
+    /// converging on two destinations, ticked against a refusing sink
+    /// until head and body words queue in both stages.
+    fn loaded_net() -> (Omega, RecSink) {
+        let mut net = Omega::new(64, &cfg(8));
+        let mut sink = RecSink {
+            refuse: true,
+            ..Default::default()
+        };
+        for (i, src) in [0usize, 1, 2, 3, 8, 9, 16, 17].into_iter().enumerate() {
+            for k in 0..2u64 {
+                let dst = if i % 2 == 0 { 9 } else { 40 };
+                assert!(net.try_inject(src, pkt(dst, 4, src as u64 * 10 + k)));
+            }
+        }
+        for _ in 0..6 {
+            net.tick(&mut sink);
+        }
+        (net, sink)
+    }
+
+    /// Tick `net` until idle (opening `sink` after 5 more refusing
+    /// ticks), returning the delivery schedule `(tick, port, addr)`.
+    fn finish(net: &mut Omega, sink: &mut RecSink) -> Vec<(usize, usize, u64)> {
+        let mut schedule = Vec::new();
+        for t in 0..500 {
+            if net.is_idle() {
+                return schedule;
+            }
+            sink.refuse = t < 5;
+            net.tick(sink);
+            for (port, p) in sink.delivered.drain(..) {
+                let addr = match p.payload {
+                    Payload::Request(r) => r.addr,
+                    _ => unreachable!(),
+                };
+                schedule.push((t, port, addr));
+            }
+        }
+        panic!("network did not drain");
+    }
+
+    #[test]
+    fn snapshot_round_trip_with_traffic_in_flight() {
+        let (net, _) = loaded_net();
+        // Head and body words queue in both stages.
+        for stage in 0..net.stages() {
+            let rings =
+                stage * net.size() * net.queue_cap..(stage + 1) * net.size() * net.queue_cap;
+            let queued = |head: bool| {
+                rings.clone().any(|slot| {
+                    let (idx, j) = (slot / net.queue_cap, slot % net.queue_cap);
+                    let live = (j + net.queue_cap - usize::from(net.qhead[idx])) % net.queue_cap;
+                    live < usize::from(net.qlen[idx]) && net.qbuf[slot].is_head() == head
+                })
+            };
+            assert!(
+                queued(true) && queued(false),
+                "stage {stage} holds heads and bodies"
+            );
+        }
+        let bytes = save(&net);
+        // The wire layout is pinned: these are the bytes the format has
+        // always written for this state (a layout change must bump
+        // `SNAPSHOT_VERSION` and this pin together).
+        assert_eq!(bytes.len(), 2490);
+        assert_eq!(crate::snapshot::fnv1a(&bytes), 0x5a2f_d9f2_0c4e_a9d4);
+
+        let mut restored = Omega::new(64, &cfg(8));
+        restored
+            .load_state(&mut crate::snapshot::SnapReader::new(&bytes))
+            .expect("restore");
+        assert_eq!(save(&restored), bytes, "restore re-encodes identically");
+
+        let (mut net, mut sink) = loaded_net();
+        let mut restored_sink = RecSink::default();
+        let schedule = finish(&mut net, &mut sink);
+        assert_eq!(schedule.len(), 16, "every packet arrives");
+        assert_eq!(finish(&mut restored, &mut restored_sink), schedule);
+        assert_eq!(restored.stats(), net.stats());
+        assert_eq!(restored.stage_conflicts(), net.stage_conflicts());
+        assert_eq!(restored.stage_blocked(), net.stage_blocked());
+        assert_eq!(
+            restored.queue_depth_histogram().bins(),
+            net.queue_depth_histogram().bins()
+        );
+        assert_eq!(save(&restored), save(&net));
     }
 }

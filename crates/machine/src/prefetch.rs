@@ -402,30 +402,46 @@ impl Pfu {
                     return;
                 }
             }
-            let pkt = Packet::read_request(
-                module_of(addr, self.modules).0,
-                MemRequest {
-                    ce: self.ce,
-                    kind: RequestKind::Read,
-                    addr,
-                    stream: Stream::Prefetch {
-                        elem: next,
-                        fire_seq: self.fire_seq,
-                    },
-                    issued: now,
-                    seq: 0,
-                    nacked: false,
-                    trace: self.elem_trace(next),
-                },
-            );
-            if forward.try_inject(port, pkt) {
-                self.stats.requests += 1;
-                self.state = IssueState::Issuing { next: next + 1 };
-            } else {
-                self.stats.inject_stall_cycles += 1;
+            if !self.issue(now, next, addr, port, forward) {
                 return;
             }
+            self.state = IssueState::Issuing { next: next + 1 };
         }
+    }
+
+    /// Inject the read of element `elem` at `addr` into `port`. A refused
+    /// port builds no request and counts an inject stall.
+    fn issue(
+        &mut self,
+        now: Cycle,
+        elem: u32,
+        addr: u64,
+        port: usize,
+        forward: &mut Omega,
+    ) -> bool {
+        if !forward.inject_ready(port) {
+            self.stats.inject_stall_cycles += 1;
+            return false;
+        }
+        let pkt = Packet::read_request(
+            module_of(addr, self.modules).0,
+            MemRequest {
+                ce: self.ce,
+                kind: RequestKind::Read,
+                addr,
+                stream: Stream::Prefetch {
+                    elem,
+                    fire_seq: self.fire_seq,
+                },
+                issued: now,
+                seq: 0,
+                nacked: false,
+                trace: self.elem_trace(elem),
+            },
+        );
+        assert!(forward.try_inject(port, pkt), "a ready port accepts");
+        self.stats.requests += 1;
+        true
     }
 
     /// Aggregated statistics; call [`Pfu::flush_trace`] first to include the
@@ -450,31 +466,12 @@ impl Pfu {
         let mut i = next;
         while i < self.expected {
             if !self.full[i as usize] {
-                let addr = self.elem_addr(i, armed.stride);
-                let pkt = Packet::read_request(
-                    module_of(addr, self.modules).0,
-                    MemRequest {
-                        ce: self.ce,
-                        kind: RequestKind::Read,
-                        addr,
-                        stream: Stream::Prefetch {
-                            elem: i,
-                            fire_seq: self.fire_seq,
-                        },
-                        issued: now,
-                        seq: 0,
-                        nacked: false,
-                        trace: self.elem_trace(i),
-                    },
-                );
-                if forward.try_inject(port, pkt) {
-                    self.stats.requests += 1;
-                    self.stats.retries += 1;
-                    self.state = IssueState::Retry { next: i + 1 };
-                    return true;
+                if !self.issue(now, i, self.elem_addr(i, armed.stride), port, forward) {
+                    return false;
                 }
-                self.stats.inject_stall_cycles += 1;
-                return false;
+                self.stats.retries += 1;
+                self.state = IssueState::Retry { next: i + 1 };
+                return true;
             }
             i += 1;
         }

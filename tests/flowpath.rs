@@ -2,10 +2,9 @@
 //!
 //! The flow path (`MachineConfig::flow_path`, on by default) advances
 //! steady-state wormhole streams through the omega networks without the
-//! dense per-flit bookkeeping: radix-8 switches arbitrate all eight
-//! outputs in one SWAR pass, only busy switches are visited, and a tick
-//! in which every stream is stalled replays its cached stat charge in
-//! O(1) instead of re-walking every queue. Its contract is *bit-for-bit*
+//! dense per-flit scan: radix-8 switches arbitrate all eight outputs in
+//! one SWAR pass, and an empty switch costs one `u64` test. Its contract
+//! is *bit-for-bit*
 //! equivalence with the per-flit oracle sweep (kept behind the
 //! `CEDAR_NO_FLOWPATH` escape hatch): the same cycle count, the same
 //! memory digest, the same full stats registry — including the `net.*`
@@ -13,10 +12,10 @@
 //! queue-depth bins — with fast-forward on or off, under fault
 //! injection, and under journey tracing.
 //!
-//! These tests pin that contract on the paper's Table 1 rows and on a
-//! synthetic full-stall scenario that proves the replay path actually
-//! runs. The randomized cross-check against the oracle on arbitrary
-//! traffic lives in `properties.rs`.
+//! These tests pin that contract on the paper's Table 1 rows, on a
+//! synthetic full-stall window and on a single-bank sync hammer. The
+//! randomized cross-check against the oracle on arbitrary traffic lives
+//! in `properties.rs`.
 
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
 use cedar_machine::config::NetworkConfig;
@@ -32,21 +31,11 @@ use cedar_machine::{FaultPlan, MachineConfig, MachineStats, TracePlan};
 
 const LIMIT: u64 = 1_000_000_000;
 
-/// `CEDAR_NO_FLOWPATH=1` (a CI matrix leg) overrides the config flag, so
-/// "flow path on" runs silently fall back to the oracle. The equivalence
-/// assertions must hold on every leg; the "actually ran" assertions only
-/// apply when the fast path is possible at all.
-fn flow_possible() -> bool {
-    !cedar_machine::config::flowpath_disabled_from_env()
-}
-
-/// Everything a run can leak about its execution, plus how many stalled
-/// network ticks the flow path settled by replay while producing it.
+/// Everything a run can leak about its execution.
 struct Fingerprint {
     cycles: u64,
     memory: u64,
     stats: MachineStats,
-    replays: u64,
 }
 
 /// Compare a flow-path run against the per-flit oracle baseline, with a
@@ -106,7 +95,6 @@ fn fingerprint_rank64(
         cycles: r.cycles,
         memory: m.memory_digest(),
         stats: r.stats,
-        replays: m.flow_stall_replays(),
     }
 }
 
@@ -122,7 +110,6 @@ fn table1_rows_match_with_flow_path_on() {
     ] {
         let label = format!("table1 {version:?}");
         let base = fingerprint_rank64(version, false, false, None, None);
-        assert_eq!(base.replays, 0, "{label}: oracle must not replay");
         for fast_forward in [false, true] {
             let got = fingerprint_rank64(version, true, fast_forward, None, None);
             assert_equivalent(
@@ -255,12 +242,11 @@ fn stall_packet(dst: usize, addr: u64) -> Packet {
     }
 }
 
-/// A long full-stall window (every stream blocked on a refusing sink) is
-/// settled by O(1) replay — and the replayed stat charge, the eventual
-/// deliveries and the final registry are bit-identical to the oracle
-/// grinding through the same window per flit.
+/// A long full-stall window (every stream blocked on a refusing sink):
+/// the stall charge, the eventual deliveries and the final registry are
+/// bit-identical to the oracle grinding through the same window per flit.
 #[test]
-fn full_stall_window_replays_and_matches_the_oracle() {
+fn full_stall_window_matches_the_oracle() {
     let cfg = NetworkConfig {
         radix: 8,
         queue_words: 2,
@@ -276,21 +262,21 @@ fn full_stall_window_replays_and_matches_the_oracle() {
             delivered: Vec::new(),
         };
         // Head-of-line packets reach the sink, get refused, and block
-        // everything behind them: a full stall the flow path can replay.
+        // everything behind them: a full stall.
         for port in 0..8 {
             assert!(net.try_inject(port, stall_packet(port * 3 % size, port as u64)));
         }
-        // Epoch 0: the sink refuses everyone for 60 cycles.
+        // The sink refuses everyone for 60 cycles.
         for c in 0..60 {
             sink.now = c;
-            net.tick_epoch(&mut sink, 0);
+            net.tick(&mut sink);
         }
-        // Epoch 1: the sink opens and the network drains.
+        // Then it opens and the network drains.
         sink.accepting = true;
         let mut c = 60;
         while !net.is_idle() {
             sink.now = c;
-            net.tick_epoch(&mut sink, 1);
+            net.tick(&mut sink);
             c += 1;
             assert!(c < 1_000, "network did not drain");
         }
@@ -302,33 +288,23 @@ fn full_stall_window_replays_and_matches_the_oracle() {
             net.queue_depth_histogram().bins(),
             net.in_flight_packets()
         );
-        (sink.delivered, fingerprint, net.stall_replays())
+        (sink.delivered, fingerprint)
     };
-    let (oracle_deliveries, oracle_fp, oracle_replays) = run(false);
-    let (flow_deliveries, flow_fp, flow_replays) = run(true);
-    assert_eq!(oracle_replays, 0, "oracle must never replay");
+    let (oracle_deliveries, oracle_fp) = run(false);
+    let (flow_deliveries, flow_fp) = run(true);
     assert_eq!(
         oracle_deliveries, flow_deliveries,
         "delivery schedule drifted under the flow path"
     );
     assert_eq!(oracle_fp, flow_fp, "stat fingerprint drifted");
-    assert!(
-        flow_replays >= 50,
-        "a 60-cycle full stall should be mostly replayed, got {flow_replays} replays"
-    );
 }
 
-/// On a full machine the epoch plumbing (global-memory acceptance epochs
-/// forward, always-accepting CE sinks reverse) lets the flow path replay
-/// genuine stall cycles. Ordinary reads and writes occupy a bank for only
-/// `service_cycles = 2`, so some module pops — and hence an epoch bump —
-/// lands every other tick; synchronization ops cost 4 cycles, so all 32
-/// CEs fetch-adding distinct words of a single bank open pop gaps wide
-/// enough for whole-network stalls to repeat. The machine must produce
-/// the oracle's exact fingerprint while demonstrably taking the replay
-/// path in anger.
+/// All 32 CEs fetch-adding distinct words of a single bank: sync ops
+/// occupy the bank for 4 cycles, so the forward network spends long
+/// windows with every stream stalled behind a full module queue. The
+/// flow path must produce the oracle's exact fingerprint through them.
 #[test]
-fn flow_path_replays_under_single_bank_sync_hammering() {
+fn flow_path_matches_oracle_under_single_bank_sync_hammering() {
     let run = |flow: bool| {
         let cfg = MachineConfig::cedar()
             .with_fast_forward(false)
@@ -353,17 +329,9 @@ fn flow_path_replays_under_single_bank_sync_hammering() {
             cycles: r.cycles,
             memory: m.memory_digest(),
             stats: r.stats,
-            replays: m.flow_stall_replays(),
         }
     };
     let base = run(false);
-    assert_eq!(base.replays, 0);
     let got = run(true);
     assert_equivalent("single-bank sync hammer", &base, &got);
-    if flow_possible() {
-        assert!(
-            got.replays > 0,
-            "a single-bank sync hammer should hit full-stall windows"
-        );
-    }
 }
